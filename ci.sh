@@ -244,7 +244,7 @@ PYEOF
 echo "== event-loop smoke (idle herd, bounded threads, warm-restart drain) =="
 EVDIR="$(mktemp -d /tmp/odc-ci-event.XXXXXX)"
 trap 'rm -f "$STATS_JSON"; rm -rf "$WORK" "$REPODIR" "$SRVDIR" "$EVDIR"; kill "${SRVPID:-}" "${EVPID:-}" 2>/dev/null || true' EXIT
-"$ODCBIN" serve --addr 127.0.0.1:0 --workers 2 --io event \
+"$ODCBIN" serve --addr 127.0.0.1:0 --workers 2 \
   --checkpoint-dir "$EVDIR/ckpt" --cache-dir "$EVDIR/cache" \
   --stats-json "$EVDIR/serve.jsonl" \
   --preload loc=examples/location.odcs --preload lad="$SRVDIR/ladder.odcs" \
@@ -331,7 +331,7 @@ PYEOF
 # Warm restart from the persisted caches alone: no --preload, yet the
 # restarted server must know `loc`, answer the same bytes as the CLI,
 # and answer it out of the restored (cross-session) cache.
-"$ODCBIN" serve --addr 127.0.0.1:0 --workers 2 --io event \
+"$ODCBIN" serve --addr 127.0.0.1:0 --workers 2 \
   --cache-dir "$EVDIR/cache" > "$EVDIR/serve2.out" &
 EVPID=$!
 EVADDR2=""

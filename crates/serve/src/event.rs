@@ -1,4 +1,4 @@
-//! The event-driven IO mode: one readiness loop, many connections,
+//! The server's IO path: one readiness loop, many connections,
 //! schema-affinity solver shards.
 //!
 //! ## Shape
@@ -41,9 +41,9 @@
 //!
 //! ## Disconnects and drain
 //!
-//! EOF/hangup is a readiness event here — no monitor thread. A peer
-//! that vanishes mid-solve flips the request's [`CancelToken`]; the
-//! interrupted solve checkpoints exactly as in threaded mode. Drain
+//! EOF/hangup arrives as a readiness event. A peer
+//! that vanishes mid-solve flips the [`CancelToken`] of every request
+//! it has in flight; each interrupted solve still checkpoints. Drain
 //! (`shutdown`, [`crate::server::ShutdownHandle`], SIGTERM) stops
 //! accepting, tells idle connections `error server draining`, cancels
 //! in-flight solves, and still *delivers* their `unknown …` responses
@@ -533,8 +533,8 @@ fn process_input(ctx: &Ctx<'_>, conn: &mut EConn) {
                     finish_fast(ctx, conn, &cmd, request_id, seq, started, response, effect);
                 }
                 Some(Err(msg)) => {
-                    // Matches the threaded path: a broken block is
-                    // unrecoverable (framing is lost), answer and close.
+                    // A broken block is unrecoverable (framing is
+                    // lost): answer and close.
                     finish_fast(
                         ctx,
                         conn,
@@ -603,9 +603,8 @@ fn process_input(ctx: &Ctx<'_>, conn: &mut EConn) {
 }
 
 /// Post-event fixup for one connection: close it if it is finished or
-/// dead, otherwise reconcile poller interest. Also cancels the in-flight
-/// solve of a vanished peer (the event-loop replacement for the
-/// threaded mode's monitor thread).
+/// dead, otherwise reconcile poller interest. Also cancels every
+/// in-flight solve of a vanished peer.
 fn settle(
     conns: &mut HashMap<u64, EConn>,
     poller: &mut Poller,
@@ -654,8 +653,8 @@ fn settle(
 }
 
 /// Accepts every pending connection; over-capacity peers get
-/// `overloaded` and are closed (admission control, as in threaded
-/// mode). fd exhaustion backs off instead of killing the server.
+/// `overloaded` and are closed (admission control). fd exhaustion
+/// backs off instead of killing the server.
 fn accept_ready(
     ctx: &Ctx<'_>,
     listener: &TcpListener,
@@ -754,9 +753,9 @@ fn deliver(ctx: &Ctx<'_>, conns: &mut HashMap<u64, EConn>, done: Done) -> Option
     Some(done.conn)
 }
 
-/// The event-mode server body: runs until drained. Counter/teardown
-/// bookkeeping (cache persistence, repo flush, stats) happens in
-/// [`crate::server::Server::run`], shared with threaded mode.
+/// The server body: runs until drained. Counter/teardown bookkeeping
+/// (cache persistence, repo flush, stats) happens in
+/// [`crate::server::Server::run`].
 pub(crate) fn run(
     listener: TcpListener,
     shared: &Arc<Shared>,

@@ -1,13 +1,11 @@
-//! Command execution shared by both IO modes.
+//! Command execution, kept apart from the wire.
 //!
-//! The event loop ([`crate::event`]) and the threaded fallback (in
-//! [`crate::server`]) differ only in how bytes reach a parsed
-//! [`Command`] and how a [`Response`] gets back on the wire. Everything
+//! The event loop ([`crate::event`]) turns bytes into a parsed
+//! [`Command`] and puts the [`Response`] back on the wire. Everything
 //! in between — catalog lookup, governor construction (policy ∩ ask,
 //! drain-child token, request-tagging observer), the per-command
 //! reasoning closures, and checkpoint persistence for interrupted
-//! solves — lives here, so the two modes cannot drift apart in payload
-//! bytes. The CLI-parity guarantee (`tests/serve.rs`,
+//! solves — lives here. The CLI-parity guarantee (`tests/serve.rs`,
 //! `exp_serve`'s 200/200 audit) rides on this single implementation.
 
 use crate::catalog::CatalogEntry;
@@ -34,7 +32,7 @@ pub(crate) enum Effect {
 }
 
 /// Whether the command runs a governed solve (and therefore routes to a
-/// shard in event mode / registers a disconnect watch in threaded mode).
+/// solver shard).
 pub(crate) fn is_solve(cmd: &Command) -> bool {
     matches!(
         cmd,
@@ -46,8 +44,7 @@ pub(crate) fn is_solve(cmd: &Command) -> bool {
     )
 }
 
-/// The uniform "unknown schema" error — one format string so both IO
-/// modes answer identically.
+/// The uniform "unknown schema" error.
 pub(crate) fn no_such_schema(name: &str) -> Response {
     Response::error(&format!("no such schema `{name}` (use `load`)"))
 }
@@ -62,8 +59,8 @@ pub(crate) fn no_such_schema(name: &str) -> Response {
 pub const PARTIAL_LISTING_CAP: usize = 32;
 
 /// Runs one non-solve command. `load_text` carries the dot-framed
-/// schema block for `load` (both modes read it off the wire before
-/// calling in). Solve commands are routed by the caller through
+/// schema block for `load` (the event loop reads it off the wire
+/// before calling in). Solve commands are routed by the caller through
 /// [`execute_solve`]; passing one here is a caller bug reported as a
 /// protocol error, never a panic.
 pub(crate) fn execute_fast(
@@ -175,10 +172,9 @@ pub(crate) fn execute_fast(
 
 /// Runs one solve command against a pre-resolved catalog entry.
 ///
-/// The caller resolves the entry (threaded mode via [`execute`], event
-/// mode on the IO thread before dispatching to the entry's affinity
-/// shard) so shard workers never touch the catalog map — the hot path
-/// holds no cross-shard lock.
+/// The IO thread resolves the entry before dispatching to the entry's
+/// affinity shard, so shard workers never touch the catalog map — the
+/// hot path holds no cross-shard lock.
 pub(crate) fn execute_solve(
     shared: &Shared,
     cmd: &Command,
@@ -359,29 +355,6 @@ pub(crate) fn execute_solve(
     match cmd.ask().and_then(|a| a.tag) {
         Some(tag) => resp.with_tag(tag),
         None => resp,
-    }
-}
-
-/// Threaded-mode entry point: one command, catalog lookup included.
-pub(crate) fn execute(
-    shared: &Shared,
-    cmd: &Command,
-    load_text: Option<&str>,
-    request_id: u64,
-    worker_id: u64,
-    token: &CancelToken,
-) -> (Response, Effect) {
-    if is_solve(cmd) {
-        let name = cmd.schema().unwrap_or("");
-        let Some(entry) = shared.catalog.get(name) else {
-            return (no_such_schema(name), Effect::Keep);
-        };
-        (
-            execute_solve(shared, cmd, &entry, request_id, worker_id, token),
-            Effect::Keep,
-        )
-    } else {
-        execute_fast(shared, cmd, load_text)
     }
 }
 

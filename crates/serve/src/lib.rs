@@ -17,19 +17,19 @@
 //!   across worker threads.
 //! * [`protocol`] — the line-delimited request grammar (mirroring the
 //!   `odc` CLI) and dot-framed response blocks.
-//! * [`server`] — configuration, shared state, graceful drain, and the
-//!   two IO modes: the event-driven readiness loop (default on unix)
-//!   and the threaded fallback. Per-request [`odc_core::Governor`]
-//!   budgets capped by a server-wide policy, disconnect-cancellation,
-//!   drain that checkpoints interrupted solves as `odc-checkpoint v1`
-//!   envelopes and persists warm caches.
+//! * [`server`] — configuration, shared state, and graceful drain
+//!   around one event-driven readiness loop (unix only). Per-request
+//!   [`odc_core::Governor`] budgets capped by a server-wide policy,
+//!   disconnect-cancellation, drain that checkpoints interrupted solves
+//!   as `odc-checkpoint v1` envelopes and persists warm caches.
 //! * [`client`] — the blocking client `odc client`, the load generator,
 //!   and the tests speak through.
 //!
 //! Internal layers behind [`server`]: `poller` (zero-dep epoll /
 //! `poll(2)` readiness), `event` (the nonblocking connection state
 //! machine plus schema-affinity solver shards), `exec` (command
-//! execution shared by both IO modes, so responses are byte-identical),
+//! execution, kept off the wire so responses match the CLI byte for
+//! byte),
 //! and `persist` (warm-cache serialization for restart-warm starts).
 //!
 //! [`ImplicationCache`]: odc_core::dimsat::ImplicationCache
@@ -51,4 +51,4 @@ pub use catalog::{CatalogEntry, SchemaCatalog};
 pub use exec::PARTIAL_LISTING_CAP;
 pub use client::{retry_backoff, Client, ClientError};
 pub use protocol::{BudgetAsk, Command, Response};
-pub use server::{IoMode, ServeConfig, ServeStats, Server, ShutdownHandle};
+pub use server::{ServeConfig, ServeStats, Server, ShutdownHandle};

@@ -14,7 +14,7 @@
 //! * **Other unix** — a `poll(2)` wrapper. O(registered) per wakeup,
 //!   fine for moderate fan-in; the portable fallback.
 //! * **Non-unix** — the event loop is not compiled at all;
-//!   [`crate::server`] falls back to the threaded IO mode.
+//!   [`crate::server::Server::run`] reports `Unsupported`.
 //!
 //! Tokens are caller-chosen `u64`s carried through the kernel
 //! (`epoll_event.data`) or the registration table (poll backend).

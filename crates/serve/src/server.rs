@@ -1,18 +1,15 @@
-//! The resident server: configuration, shared state, the two IO modes,
-//! and graceful drain.
+//! The resident server: configuration, shared state, and graceful
+//! drain.
 //!
-//! ## IO modes
+//! ## IO
 //!
-//! * [`IoMode::Event`] (default on unix) — a single readiness loop over
-//!   nonblocking sockets plus schema-affinity solver shards; see
-//!   [`crate::event`]. Idle connections cost a buffer, not a thread.
-//! * [`IoMode::Threaded`] — the original thread-per-active-connection
-//!   pool behind a bounded admission queue, with a monitor thread
-//!   watching in-flight solves for peer hangup. The fallback on
-//!   non-unix targets and the escape hatch everywhere else.
-//!
-//! Both modes execute commands through [`crate::exec`], so responses
-//! are byte-identical between them (and to the CLI).
+//! A single readiness loop over nonblocking sockets plus
+//! schema-affinity solver shards serves every connection; see
+//! [`crate::event`]. Idle connections cost a buffer, not a thread.
+//! Commands execute through [`crate::exec`], so responses are
+//! byte-identical to the CLI. The loop needs a unix readiness poller;
+//! on other targets [`Server::run`] fails with
+//! [`io::ErrorKind::Unsupported`].
 //!
 //! ## Budgets and drain
 //!
@@ -29,56 +26,24 @@
 //! [`Governor`]: odc_core::Governor
 
 use crate::catalog::SchemaCatalog;
-use crate::exec::{self, Effect};
-use crate::protocol::{Command, Response};
+use crate::protocol::Command;
 use odc_core::obs::{ConnEvent, Obs, RequestEvent};
 use odc_core::{Budget, CancelToken};
-use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
-
-/// How often the threaded accept loop polls for drain, and the monitor
-/// thread polls in-flight sockets.
-const POLL: Duration = Duration::from_millis(10);
-
-/// Which accept/IO architecture serves the sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoMode {
-    /// Readiness loop + schema-affinity shards (unix; falls back to
-    /// [`IoMode::Threaded`] elsewhere at run time).
-    #[default]
-    Event,
-    /// Bounded queue + fixed worker pool, one thread per active
-    /// connection.
-    Threaded,
-}
-
-impl IoMode {
-    /// Parses the CLI's `--io` argument.
-    pub fn parse(s: &str) -> Result<IoMode, String> {
-        match s {
-            "event" => Ok(IoMode::Event),
-            "threaded" => Ok(IoMode::Threaded),
-            other => Err(format!("unknown io mode `{other}` (event|threaded)")),
-        }
-    }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Server configuration.
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` picks a free port).
     pub addr: String,
-    /// Worker pool size: solver shards in event mode, connection
-    /// workers in threaded mode.
+    /// Number of solver shards.
     pub workers: usize,
-    /// Admission bound. Event mode: the maximum resident connections —
-    /// one past it answers `overloaded` and is closed. Threaded mode:
-    /// the backlog-queue capacity, same response when full. `0` rejects
-    /// everything (useful for testing admission control).
+    /// Admission bound: the maximum resident connections — one past it
+    /// answers `overloaded` and is closed. `0` rejects everything
+    /// (useful for testing admission control).
     pub queue_cap: usize,
     /// Server-wide per-request budget cap; each request runs under
     /// `policy.intersect(client ask)`.
@@ -106,13 +71,6 @@ pub struct ServeConfig {
     /// Also drain on `SIGTERM` (unix only; the CLI sets this, tests
     /// usually do not).
     pub handle_sigterm: bool,
-    /// Accept/IO architecture; see [`IoMode`].
-    pub io: IoMode,
-    /// Failure injection (tests only): threaded mode treats every
-    /// post-solve `set_nonblocking(false)` restore as failed, which
-    /// must close the connection — the regression hook for the
-    /// stuck-nonblocking-socket bug.
-    pub fail_socket_restore: bool,
 }
 
 impl Default for ServeConfig {
@@ -127,8 +85,6 @@ impl Default for ServeConfig {
             repo: None,
             obs: Obs::none(),
             handle_sigterm: false,
-            io: IoMode::default(),
-            fail_socket_restore: false,
         }
     }
 }
@@ -146,23 +102,8 @@ pub struct ServeStats {
     pub caches_persisted: u64,
 }
 
-/// One queued connection (threaded mode).
-struct Conn {
-    stream: TcpStream,
-    id: u64,
-    peer: String,
-}
-
-/// A socket being watched while its request's solve is in flight
-/// (threaded mode; the event loop gets hangups as readiness events).
-struct Watch {
-    request: u64,
-    stream: TcpStream,
-    token: CancelToken,
-}
-
-/// State shared by both IO modes: catalog, policy, counters, drain.
-/// The queue/watch fields only carry traffic in threaded mode.
+/// State shared by the IO thread and the solver shards: catalog,
+/// policy, counters, drain.
 pub(crate) struct Shared {
     pub(crate) catalog: SchemaCatalog,
     pub(crate) policy: Budget,
@@ -171,22 +112,17 @@ pub(crate) struct Shared {
     pub(crate) repo: Option<Arc<odc_core::repo::VerdictRepo>>,
     pub(crate) obs: Obs,
     pub(crate) queue_cap: usize,
-    pub(crate) draining: AtomicBool,
+    /// Root of every request's cancel token; cancelled exactly when
+    /// drain starts.
     pub(crate) drain: CancelToken,
     pub(crate) next_request: AtomicU64,
     pub(crate) served: AtomicU64,
     pub(crate) rejected: AtomicU64,
     pub(crate) checkpoints: AtomicU64,
-    pub(crate) fail_socket_restore: bool,
     /// The event loop's wakeup channel (see [`crate::poller`]), set for
-    /// the duration of an event-mode run so cross-thread drain triggers
-    /// interrupt the poll immediately.
+    /// the duration of a run so cross-thread drain triggers interrupt
+    /// the poll immediately.
     pub(crate) wake: Mutex<Option<TcpStream>>,
-    // Threaded-mode plumbing.
-    queue: Mutex<VecDeque<Conn>>,
-    ready: Condvar,
-    watch: Mutex<Vec<Watch>>,
-    monitor_stop: AtomicBool,
 }
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -195,9 +131,7 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 impl Shared {
     pub(crate) fn begin_drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
         self.drain.cancel();
-        self.ready.notify_all();
         #[cfg(unix)]
         if let Some(w) = &*lock(&self.wake) {
             crate::poller::wake(w);
@@ -205,7 +139,7 @@ impl Shared {
     }
 
     pub(crate) fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
+        self.drain.is_cancelled()
     }
 }
 
@@ -235,7 +169,6 @@ pub struct Server {
     shared: Arc<Shared>,
     handle_sigterm: bool,
     workers: usize,
-    io: IoMode,
 }
 
 impl Server {
@@ -263,18 +196,12 @@ impl Server {
             repo,
             obs: config.obs,
             queue_cap: config.queue_cap,
-            draining: AtomicBool::new(false),
             drain: CancelToken::new(),
             next_request: AtomicU64::new(1),
             served: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
-            fail_socket_restore: config.fail_socket_restore,
             wake: Mutex::new(None),
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            watch: Mutex::new(Vec::new()),
-            monitor_stop: AtomicBool::new(false),
         });
         // Restart-warm catalog: every schema the repository has seen
         // comes back resident before the first request, and its stored
@@ -298,7 +225,6 @@ impl Server {
             shared,
             handle_sigterm: config.handle_sigterm,
             workers: config.workers.max(1),
-            io: config.io,
         })
     }
 
@@ -325,19 +251,15 @@ impl Server {
         }
         let shared = self.shared;
         #[cfg(unix)]
-        let result = match self.io {
-            IoMode::Event => {
-                crate::event::run(self.listener, &shared, self.workers, self.handle_sigterm)
-            }
-            IoMode::Threaded => {
-                run_threaded(self.listener, &shared, self.workers, self.handle_sigterm)
-            }
-        };
+        let result = crate::event::run(self.listener, &shared, self.workers, self.handle_sigterm);
         #[cfg(not(unix))]
-        let result = run_threaded(self.listener, &shared, self.workers, self.handle_sigterm);
+        let result = Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "odc-serve needs a unix readiness poller",
+        ));
 
-        // Teardown shared by both modes: persist warm caches, flush the
-        // repository index, report counters.
+        // Teardown: persist warm caches, flush the repository index,
+        // report counters.
         let mut caches_persisted = 0u64;
         if let Some(dir) = &shared.cache_dir {
             if let Ok((schemas, _entries)) = crate::persist::save(&shared.catalog, dir) {
@@ -359,89 +281,6 @@ impl Server {
     }
 }
 
-/// The threaded IO mode: accept loop + bounded queue + worker pool +
-/// disconnect monitor.
-fn run_threaded(
-    listener: TcpListener,
-    shared: &Arc<Shared>,
-    workers: usize,
-    handle_sigterm: bool,
-) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let monitor = {
-        let shared = Arc::clone(shared);
-        std::thread::spawn(move || monitor_loop(&shared))
-    };
-    let workers: Vec<_> = (0..workers)
-        .map(|w| {
-            let shared = Arc::clone(shared);
-            std::thread::spawn(move || worker_loop(&shared, w as u64))
-        })
-        .collect();
-
-    let mut next_conn = 1u64;
-    let mut fatal = None;
-    while !shared.is_draining() {
-        if handle_sigterm && sigterm::pending() {
-            shared.begin_drain();
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let id = next_conn;
-                next_conn += 1;
-                admit(shared, stream, id, peer.to_string());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                fatal = Some(e);
-                shared.begin_drain();
-                break;
-            }
-        }
-    }
-    shared.begin_drain();
-    for w in workers {
-        let _ = w.join();
-    }
-    // Connections still queued never reached a worker: tell them the
-    // server is going away rather than dropping them silently.
-    let leftovers: Vec<Conn> = lock(&shared.queue).drain(..).collect();
-    for conn in leftovers {
-        let mut stream = conn.stream;
-        let _ = Response::error("server draining").write_to(&mut stream);
-        emit_conn(&shared.obs, conn.id, "closed", &conn.peer);
-    }
-    shared.monitor_stop.store(true, Ordering::SeqCst);
-    let _ = monitor.join();
-    match fatal {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
-}
-
-/// Admission control: queue the connection or answer `overloaded`.
-fn admit(shared: &Arc<Shared>, mut stream: TcpStream, id: u64, peer: String) {
-    // Request/response round trips; Nagle batching only adds
-    // delayed-ACK stalls here.
-    let _ = stream.set_nodelay(true);
-    let mut q = lock(&shared.queue);
-    if q.len() >= shared.queue_cap {
-        drop(q);
-        shared.rejected.fetch_add(1, Ordering::SeqCst);
-        emit_conn(&shared.obs, id, "rejected_overloaded", &peer);
-        let _ = Response::overloaded().write_to(&mut stream);
-        return;
-    }
-    emit_conn(&shared.obs, id, "accepted", &peer);
-    q.push_back(Conn { stream, id, peer });
-    drop(q);
-    shared.ready.notify_one();
-}
-
 pub(crate) fn emit_conn(obs: &Obs, conn_id: u64, phase: &'static str, peer: &str) {
     if obs.enabled() {
         obs.conn(&ConnEvent {
@@ -450,190 +289,6 @@ pub(crate) fn emit_conn(obs: &Obs, conn_id: u64, phase: &'static str, peer: &str
             peer: peer.to_string(),
         });
     }
-}
-
-/// Watches the sockets of in-flight solves; flips the request's cancel
-/// token on EOF so the solve stops instead of finishing against a dead
-/// socket.
-fn monitor_loop(shared: &Shared) {
-    while !shared.monitor_stop.load(Ordering::SeqCst) {
-        {
-            let watches = lock(&shared.watch);
-            let mut probe = [0u8; 1];
-            for w in watches.iter() {
-                // The socket is nonblocking while registered: WouldBlock
-                // means the peer is alive and quiet, Ok(0) means EOF, a
-                // hard error means the connection died.
-                match w.stream.peek(&mut probe) {
-                    Ok(0) => w.token.cancel(),
-                    Ok(_) => {}
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                    Err(_) => w.token.cancel(),
-                }
-            }
-        }
-        std::thread::sleep(POLL);
-    }
-}
-
-fn worker_loop(shared: &Arc<Shared>, worker_id: u64) {
-    loop {
-        let conn = {
-            let mut q = lock(&shared.queue);
-            loop {
-                if let Some(c) = q.pop_front() {
-                    break Some(c);
-                }
-                if shared.is_draining() {
-                    break None;
-                }
-                let (guard, _) = shared
-                    .ready
-                    .wait_timeout(q, POLL)
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
-            }
-        };
-        match conn {
-            Some(c) => serve_conn(shared, c, worker_id),
-            None => return,
-        }
-    }
-}
-
-/// Serves every request on one connection until `quit`, `shutdown`,
-/// EOF, or drain.
-fn serve_conn(shared: &Arc<Shared>, conn: Conn, worker_id: u64) {
-    let Conn { stream, id, peer } = conn;
-    let mut writer = stream;
-    let reader = match writer.try_clone() {
-        Ok(r) => r,
-        Err(_) => {
-            emit_conn(&shared.obs, id, "closed", &peer);
-            return;
-        }
-    };
-    // A periodic read timeout keeps idle connections drain-aware: a
-    // worker parked on `read_line` would otherwise never observe
-    // `begin_drain` and the server could not join its pool.
-    let _ = writer.set_read_timeout(Some(POLL * 10));
-    let mut reader = BufReader::new(reader);
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e)
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-            {
-                // Timed out waiting for the next request. Bytes read so
-                // far stay in `line`; resume unless the server is
-                // draining.
-                if shared.is_draining() {
-                    let _ = Response::error("server draining").write_to(&mut writer);
-                    break;
-                }
-                continue;
-            }
-            Err(_) => break,
-        }
-        let request = line.trim().to_string();
-        line.clear();
-        if request.is_empty() {
-            continue;
-        }
-        let cmd = match Command::parse(&request) {
-            Ok(c) => c,
-            Err(e) => {
-                if Response::error(&e).write_to(&mut writer).is_err() {
-                    break;
-                }
-                continue;
-            }
-        };
-        let request_id = shared.next_request.fetch_add(1, Ordering::SeqCst);
-        let started = Instant::now();
-        emit_request(shared, request_id, id, "start", &cmd, None, None, None);
-        // `load` carries a dot-framed schema block right behind the
-        // request line; read it here so `exec` stays wire-agnostic.
-        let mut load_text = None;
-        if let Command::Load { .. } = &cmd {
-            match crate::protocol::read_block(&mut reader) {
-                Ok(t) => load_text = Some(t),
-                Err(e) => {
-                    let response = Response::error(&format!("reading schema text: {e}"));
-                    finish_request(shared, request_id, id, &cmd, &response, started, worker_id);
-                    let _ = response.write_to(&mut writer);
-                    break;
-                }
-            }
-        }
-        let token = shared.drain.child();
-        // Register the socket with the disconnect monitor for the
-        // duration of a solve; the socket is nonblocking while watched
-        // so `peek` probes never stall the monitor.
-        let watched = exec::is_solve(&cmd)
-            && match writer.try_clone() {
-                Ok(clone) => {
-                    if writer.set_nonblocking(true).is_ok() {
-                        lock(&shared.watch).push(Watch {
-                            request: request_id,
-                            stream: clone,
-                            token: token.clone(),
-                        });
-                        true
-                    } else {
-                        false
-                    }
-                }
-                Err(_) => false,
-            };
-        let (response, effect) =
-            exec::execute(shared, &cmd, load_text.as_deref(), request_id, worker_id, &token);
-        let mut restore_failed = false;
-        if watched {
-            lock(&shared.watch).retain(|w| w.request != request_id);
-            // A socket stuck in nonblocking mode would make every
-            // subsequent blocking read on this connection spin hot on
-            // `WouldBlock`. If the restore fails, the response below is
-            // written best-effort and the connection is closed — a dead
-            // connection, not a busy-looping worker.
-            restore_failed = if shared.fail_socket_restore {
-                true
-            } else {
-                writer.set_nonblocking(false).is_err()
-            };
-        }
-        finish_request(shared, request_id, id, &cmd, &response, started, worker_id);
-        let write_ok = response.write_to(&mut writer).is_ok();
-        if effect == Effect::Close || restore_failed || !write_ok || shared.is_draining() {
-            break;
-        }
-    }
-    emit_conn(&shared.obs, id, "closed", &peer);
-}
-
-/// Counts one finished request and emits its `end` lifecycle event.
-fn finish_request(
-    shared: &Shared,
-    request_id: u64,
-    conn_id: u64,
-    cmd: &Command,
-    response: &Response,
-    started: Instant,
-    worker_id: u64,
-) {
-    shared.served.fetch_add(1, Ordering::SeqCst);
-    emit_request(
-        shared,
-        request_id,
-        conn_id,
-        "end",
-        cmd,
-        Some(response.status_word().to_string()),
-        Some(started.elapsed().as_micros() as u64),
-        Some(worker_id),
-    );
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -662,7 +317,7 @@ pub(crate) fn emit_request(
 }
 
 /// Raw `SIGTERM` handling (unix): a C signal handler flipping a static
-/// flag the accept/event loop polls. No `libc` crate — the `signal`
+/// flag the event loop polls. No `libc` crate — the `signal`
 /// symbol comes from the C runtime `std` already links.
 #[cfg(unix)]
 pub(crate) mod sigterm {
@@ -693,8 +348,4 @@ pub(crate) mod sigterm {
 #[cfg(not(unix))]
 pub(crate) mod sigterm {
     pub fn install() {}
-
-    pub fn pending() -> bool {
-        false
-    }
 }

@@ -29,6 +29,8 @@
 //!    safety gate from the store itself when no advisor verdicts are
 //!    supplied.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod batch;
 pub mod bitset;
 pub mod error;

@@ -850,7 +850,9 @@ impl FactStore {
             agg,
             cells: groups
                 .into_iter()
-                .map(|(k, vs)| (k, agg.apply(&vs).expect("non-empty group")))
+                // Groups are created by their first row, so `apply`
+                // never sees an empty one.
+                .filter_map(|(k, vs)| Some((k, agg.apply(&vs)?)))
                 .collect(),
         }
     }
@@ -1017,20 +1019,25 @@ impl FactStore {
         if bin.len() < 21 || &bin[..9] != b"ODCSTORE1" {
             return Err(corrupt("bad magic"));
         }
-        let nd = u32::from_le_bytes(bin[9..13].try_into().expect("4 bytes")) as usize;
-        let nf = u64::from_le_bytes(bin[13..21].try_into().expect("8 bytes")) as usize;
+        let truncated = || corrupt("truncated");
+        let nd = u32::from_le_bytes(le_at(&bin, 9).ok_or_else(truncated)?) as usize;
+        let nf = u64::from_le_bytes(le_at(&bin, 13).ok_or_else(truncated)?);
         if nd != store.num_dims() {
             return Err(corrupt("dimension count mismatch"));
         }
-        if bin.len() != 21 + nf * (4 * nd + 8) {
-            return Err(corrupt("truncated"));
+        // `nf` comes from the file: a hostile count must not wrap the
+        // expected length back onto the real one.
+        let nf = usize::try_from(nf).map_err(|_| truncated())?;
+        let expected = (4 * nd + 8).checked_mul(nf).and_then(|n| n.checked_add(21));
+        if expected != Some(bin.len()) {
+            return Err(truncated());
         }
         let mut off = 21;
         for dim in 0..nd {
             let plane = &store.planes[dim];
             let mut col = Vec::with_capacity(nf);
             for _ in 0..nf {
-                let v = u32::from_le_bytes(bin[off..off + 4].try_into().expect("4 bytes"));
+                let v = u32::from_le_bytes(le_at(&bin, off).ok_or_else(truncated)?);
                 off += 4;
                 if v as usize >= plane.len() || !plane.base.contains(v) {
                     return Err(corrupt("fact keys a non-base member index"));
@@ -1041,14 +1048,17 @@ impl FactStore {
         }
         let mut measures = Vec::with_capacity(nf);
         for _ in 0..nf {
-            measures.push(i64::from_le_bytes(
-                bin[off..off + 8].try_into().expect("8 bytes"),
-            ));
+            measures.push(i64::from_le_bytes(le_at(&bin, off).ok_or_else(truncated)?));
             off += 8;
         }
         store.measures = measures;
         Ok(store)
     }
+}
+
+/// The `N` bytes of a saved fact matrix at `off`, or `None` past its end.
+fn le_at<const N: usize>(bin: &[u8], off: usize) -> Option<[u8; N]> {
+    bin.get(off..off.checked_add(N)?)?.try_into().ok()
 }
 
 /// Finds a `<`-cycle confined to the staged members, returning the
@@ -1313,6 +1323,30 @@ constraints:
         let ny = d.member_by_key("New York").unwrap();
         assert_eq!(d.name(ny), "NY # east");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn load_rejects_a_fact_count_that_wraps_the_length_check() {
+        let dir = std::env::temp_dir().join(format!("odc-store-wrap-{}", std::process::id()));
+        let mut s = store();
+        s.ingest_text(
+            "Canada : Country < all\nToronto : City < Canada\n\
+             s1 : Store < Toronto\ns1 -> 10\ns1 -> -3\n",
+            1,
+        )
+        .unwrap();
+        s.save(&dir).unwrap();
+        // One dimension: a fact is 12 bytes, and 12 * 2^62 wraps to 0
+        // in 64 bits, so the forged count passes an unchecked length
+        // test and then asks for a 2^62-element column.
+        let path = dir.join("facts.bin");
+        let mut bin = std::fs::read(&path).unwrap();
+        let forged = s.num_facts() as u64 + (1 << 62);
+        bin[13..21].copy_from_slice(&forged.to_le_bytes());
+        std::fs::write(&path, bin).unwrap();
+        let err = FactStore::load(&dir).err();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(err, Some(IngestError::Io("facts.bin: truncated".into())));
     }
 
     #[test]

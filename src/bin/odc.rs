@@ -91,13 +91,9 @@ usage:
                                              (exit 2 when divergences are found)
 serve options:
   --addr <ip:port>     bind address (default 127.0.0.1:7421; port 0 picks a free one)
-  --workers <n>        solver shards (event mode) / worker threads (threaded
-                       mode); default 4
-  --io <mode>          event (default on unix: readiness loop, idle connections
-                       cost no threads) or threaded (pool fallback)
-  --queue <n>          admission bound: max resident connections (event mode) or
-                       queue capacity (threaded); beyond it connections get
-                       `overloaded` (default 1024)
+  --workers <n>        solver shards behind the readiness loop (default 4)
+  --queue <n>          admission bound: max resident connections; beyond it
+                       connections get `overloaded` (default 1024)
   --time-limit/--node-limit   server-wide per-request budget cap (client asks
                        are intersected with it — tighten only, never loosen)
   --checkpoint-dir <d> write odc-checkpoint v1 envelopes for solves interrupted
@@ -1230,7 +1226,6 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
             let mut queue_cap = 1024usize;
             let mut checkpoint_dir: Option<String> = None;
             let mut cache_dir: Option<String> = None;
-            let mut io = odc_serve::IoMode::default();
             let mut preload: Vec<(String, String)> = Vec::new();
             let mut it = rest.iter();
             while let Some(a) = it.next() {
@@ -1258,10 +1253,6 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                     "--cache-dir" => {
                         cache_dir = Some(it.next().ok_or("--cache-dir needs a path")?.clone());
                     }
-                    "--io" => {
-                        let v = it.next().ok_or("--io needs event|threaded")?;
-                        io = odc_serve::IoMode::parse(v)?;
-                    }
                     "--preload" => {
                         let v = it.next().ok_or("--preload needs <name>=<schema-file>")?;
                         let (name, path) = v
@@ -1282,8 +1273,6 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                 repo: flags.repo.clone().map(std::path::PathBuf::from),
                 obs,
                 handle_sigterm: true,
-                io,
-                fail_socket_restore: false,
             })
             .map_err(|e| format!("bind: {e}"))?;
             for (name, path) in &preload {
