@@ -473,6 +473,48 @@ assert all(e["rows_per_sec"] > 0 for e in batches), "zero ingest rate"
 print(f"ingest event stream OK: {len(batches)} batches, {done['facts']} facts")
 PYEOF
 
+# An oracle independent of Rust: Python folds the same stream by hand,
+# and under every aggregate the Store, SaleRegion and Country cuboids
+# must print exactly its cells. Washington has no SaleRegion, so s2's
+# rows drop out of that level.
+for agg in sum count min max; do
+  for level in Store SaleRegion Country; do
+    "$ODCBIN" cube "$STOREDIR/inc" "$level" --agg "$agg" > "$STOREDIR/cube-$level-$agg.txt"
+  done
+done
+python3 - "$STOREDIR" <<'PYEOF'
+import sys
+d = sys.argv[1]
+rows = []
+for line in open(f"{d}/facts.txt"):
+    if "->" in line:
+        k, v = line.split("->")
+        rows.append((k.strip(), int(v)))
+# Each store's ancestor per level (None: no rollup), and each level's
+# members in declaration order, which is the order cells print in.
+anc = {
+    "Store": {"s1": "s1", "s2": "s2"},
+    "SaleRegion": {"s1": "East", "s2": None},
+    "Country": {"s1": "Canada", "s2": "USA"},
+}
+order = {"Store": ["s1", "s2"], "SaleRegion": ["East"], "Country": ["Canada", "USA"]}
+fold = {"sum": sum, "count": len, "min": min, "max": max}
+checked = 0
+for agg, f in fold.items():
+    for level, up in anc.items():
+        groups = {}
+        for k, v in rows:
+            if up[k] is not None:
+                groups.setdefault(up[k], []).append(v)
+        cells = [(m, f(groups[m])) for m in order[level] if m in groups]
+        want = [f"cuboid {level}: {len(cells)} cell(s), agg {agg}, source: base facts"]
+        want += [f"  {m} -> {v}" for m, v in cells]
+        got = open(f"{d}/cube-{level}-{agg}.txt").read().splitlines()
+        assert got == want, f"{level} --agg {agg}: odc printed {got}, oracle wants {want}"
+        checked += 1
+print(f"cube oracle OK: {checked} cuboids match the Python fold")
+PYEOF
+
 # Safe rollup: Country from a City cuboid, verified cell-for-cell
 # against direct materialization from the raw facts.
 "$ODCBIN" cube "$STOREDIR/inc" Country --via City --verdicts > "$STOREDIR/cube-safe.txt"

@@ -1013,6 +1013,38 @@ enum TrailOp {
     InstarWord { cat: u32, word: u32, old: u64 },
 }
 
+/// One recursion depth's working sets in [`Search::expand`], kept
+/// across activations so that expanding a node allocates nothing once
+/// the buffers have grown to the schema's fan-out.
+struct Frame {
+    /// `In*(ctop) ∪ {ctop}`: the delta every new edge pushes upward.
+    delta: CatSet,
+    /// Admissible parents of `ctop` (after cycle, shortcut and
+    /// forbidden-parent pruning).
+    s: Vec<Category>,
+    /// Parents an into constraint forbids.
+    forbidden: Vec<Category>,
+    /// Parents an into constraint forces.
+    into: Vec<Category>,
+    /// Optional parents: `s` minus `into`.
+    rest: Vec<Category>,
+    /// The parent set of the current subset mask.
+    r: Vec<Category>,
+}
+
+impl Frame {
+    fn new(num_categories: usize) -> Frame {
+        Frame {
+            delta: CatSet::new(num_categories),
+            s: Vec::new(),
+            forbidden: Vec::new(),
+            into: Vec::new(),
+            rest: Vec::new(),
+            r: Vec::new(),
+        }
+    }
+}
+
 struct Search<'a, 'g> {
     g: &'a HierarchySchema,
     opts: DimsatOptions,
@@ -1034,8 +1066,8 @@ struct Search<'a, 'g> {
     trail: Vec<TrailOp>,
     /// Reusable DFS stack for [`Search::propagate_instar`].
     prop_stack: Vec<Category>,
-    /// Reusable scratch set for the per-expansion `In*` delta.
-    delta_scratch: CatSet,
+    /// Reusable working lists, one [`Frame`] per recursion depth.
+    frames: Vec<Frame>,
     stats: SearchStats,
     trace: Vec<TraceEvent>,
     found: Vec<FrozenDimension>,
@@ -1096,7 +1128,7 @@ impl<'a, 'g> Search<'a, 'g> {
             inn: vec![Vec::new(); n],
             trail: Vec::new(),
             prop_stack: Vec::new(),
-            delta_scratch: CatSet::new(n),
+            frames: Vec::new(),
             stats: SearchStats::default(),
             trace: Vec::new(),
             found: Vec::new(),
@@ -1182,6 +1214,18 @@ impl<'a, 'g> Search<'a, 'g> {
     /// subhierarchy → CHECK) or one frontier category is expanded with
     /// every admissible parent subset.
     fn expand(&mut self, depth: usize) {
+        if self.frames.len() <= depth {
+            let n = self.g.num_categories();
+            self.frames.resize_with(depth + 1, || Frame::new(n));
+        }
+        // An empty frame holds no allocation.
+        let mut f = std::mem::replace(&mut self.frames[depth], Frame::new(0));
+        self.expand_in(depth, &mut f);
+        self.frames[depth] = f;
+    }
+
+    /// The body of [`Search::expand`], working in the depth's [`Frame`].
+    fn expand_in(&mut self, depth: usize, f: &mut Frame) {
         if self.stopped || self.interrupt.is_some() {
             return;
         }
@@ -1215,53 +1259,47 @@ impl<'a, 'g> Search<'a, 'g> {
             return;
         };
 
-        let out: Vec<Category> = self.g.parents(ctop).to_vec();
+        let g = self.g;
+        let out = g.parents(ctop);
         // Figure 6 lines 11–13: prune cycle- and shortcut-creating
         // parents.
-        let s: Vec<Category> = if self.opts.eager_structure_pruning {
-            out.iter()
-                .copied()
-                .filter(|&c2| {
-                    if self.creates_cycle(ctop, c2) {
-                        self.gov.obs().prune(self.solve_id, PruneReason::Cycle);
-                        false
-                    } else if self.creates_shortcut(ctop, c2) {
-                        self.gov.obs().prune(self.solve_id, PruneReason::Shortcut);
-                        false
-                    } else {
-                        true
-                    }
-                })
-                .collect()
+        f.s.clear();
+        if self.opts.eager_structure_pruning {
+            for &c2 in out {
+                if self.creates_cycle(ctop, c2) {
+                    self.gov.obs().prune(self.solve_id, PruneReason::Cycle);
+                } else if self.creates_shortcut(ctop, c2) {
+                    self.gov.obs().prune(self.solve_id, PruneReason::Shortcut);
+                } else {
+                    f.s.push(c2);
+                }
+            }
         } else {
-            out.clone()
-        };
+            f.s.extend_from_slice(out);
+        }
 
         // Figure 6 lines 14–15: into constraints force parents. The dual
         // pruning drops *forbidden* parents (`¬(c_c')` in Σ): any choice
         // containing such an edge fails CHECK outright.
-        let s: Vec<Category> = if self.opts.into_pruning {
-            let forbidden: Vec<Category> = self.ctx.forbidden_parents_of(ctop).collect();
-            s.into_iter().filter(|c2| !forbidden.contains(c2)).collect()
-        } else {
-            s
-        };
-        let into: Vec<Category> = if self.opts.into_pruning {
-            self.ctx
-                .into_parents_of(ctop)
-                .filter(|p| out.contains(p))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        if !into.iter().all(|p| s.contains(p)) || s.is_empty() {
+        f.into.clear();
+        if self.opts.into_pruning {
+            f.forbidden.clear();
+            f.forbidden.extend(self.ctx.forbidden_parents_of(ctop));
+            f.s.retain(|c2| !f.forbidden.contains(c2));
+            f.into
+                .extend(self.ctx.into_parents_of(ctop).filter(|p| out.contains(p)));
+        }
+        if !f.into.iter().all(|p| f.s.contains(p)) || f.s.is_empty() {
             self.stats.dead_ends += 1;
             self.gov.obs().prune(self.solve_id, PruneReason::IntoDeadEnd);
             self.restore_top(ctop);
             return;
         }
 
-        let rest: Vec<Category> = s.iter().copied().filter(|c2| !into.contains(c2)).collect();
+        f.rest.clear();
+        f.rest
+            .extend(f.s.iter().copied().filter(|c2| !f.into.contains(c2)));
+        let rest = &f.rest;
         if rest.len() >= 63 {
             // The 2^|rest| fan-out does not fit the subset mask; treat the
             // node as unexplorable rather than overflowing the shift. This
@@ -1278,13 +1316,11 @@ impl<'a, 'g> Search<'a, 'g> {
         // `In*(ctop) ∪ {ctop}`: the delta every new edge pushes upward.
         // Loop-invariant across the masks — adding parents to ctop never
         // changes `In*(ctop)`, since cycle pruning keeps ctop out of its
-        // own ancestry — so it is computed once into a reusable scratch.
-        let delta = self.opts.incremental_instar.then(|| {
-            let mut d = std::mem::replace(&mut self.delta_scratch, CatSet::new(0));
-            d.copy_from(&self.instar[ctop.index()]);
-            d.insert(ctop);
-            d
-        });
+        // own ancestry — so it is computed once into the frame.
+        if self.opts.incremental_instar {
+            f.delta.copy_from(&self.instar[ctop.index()]);
+            f.delta.insert(ctop);
+        }
         let first_mask = if replay { self.resume_cursor[depth] } else { 0 };
         for mask in first_mask..(1u64 << rest.len()) {
             if self.stopped || self.interrupt.is_some() {
@@ -1293,19 +1329,22 @@ impl<'a, 'g> Search<'a, 'g> {
             // Only the recorded mask itself is a replay step; its later
             // siblings are fresh work the interrupted run never reached.
             let replay_step = replay && mask == first_mask;
-            let mut r: Vec<Category> = into.clone();
+            let r = &mut f.r;
+            r.clear();
+            r.extend_from_slice(&f.into);
             for (i, &c2) in rest.iter().enumerate() {
                 if mask & (1 << i) != 0 {
                     r.push(c2);
                 }
             }
+            let r = &f.r;
             if r.is_empty() {
                 continue;
             }
             // Two parents where one already reaches the other would make
             // the edge to the farther one a shortcut (a case the paper's
             // Ss set misses; see the crate docs).
-            if self.opts.eager_structure_pruning && self.r_internally_conflicting(&r) {
+            if self.opts.eager_structure_pruning && self.r_internally_conflicting(r) {
                 self.gov.obs().prune(self.solve_id, PruneReason::Shortcut);
                 continue;
             }
@@ -1324,7 +1363,7 @@ impl<'a, 'g> Search<'a, 'g> {
                 });
                 (self.sub.clone(), instar)
             });
-            for &p in &r {
+            for &p in r {
                 if !self.sub.contains(p) && !p.is_all() {
                     self.top.push_back(p);
                 }
@@ -1341,9 +1380,7 @@ impl<'a, 'g> Search<'a, 'g> {
                     if self.opts.trail_backtracking {
                         self.trail.push(TrailOp::InnPush { parent: p });
                     }
-                    if let Some(d) = &delta {
-                        self.propagate_instar(p, d);
-                    }
+                    self.propagate_instar(p, &f.delta);
                 }
             }
             if self.opts.trace && !replay_step {
@@ -1373,9 +1410,6 @@ impl<'a, 'g> Search<'a, 'g> {
                 None => self.undo_trail(trail_mark),
             }
             self.top.truncate(saved_top_len);
-        }
-        if let Some(d) = delta {
-            self.delta_scratch = d;
         }
         if !self.stopped && self.interrupt.is_none() {
             if self.opts.trace {

@@ -29,11 +29,8 @@ impl RollupTable {
         let nc = d.schema().num_categories();
         let nm = d.num_members();
         let mut table: Vec<Option<Member>> = vec![None; nc * nm];
-        // Process members in topological order (children before parents is
-        // NOT what we need — we need parents first, so ancestors are ready
-        // to be inherited). Kahn's algorithm over the parent relation,
-        // starting from members with no parents... simpler: reverse
-        // topological via DFS from each member with memoization.
+        // A member's row is the union of its parents' rows, so parents
+        // fill first: a memoized depth-first walk up the parent links.
         let mut done = vec![false; nm];
         for m in d.members() {
             Self::fill(d, m, &mut table, &mut done, nc);
@@ -57,11 +54,12 @@ impl RollupTable {
         done[m.index()] = true;
         let base = m.index() * nc;
         table[base + d.category_of(m).index()] = Some(m);
-        // `parents` is acyclic on validated instances (C6), and recursion
-        // depth is bounded by the longest rollup chain; use an explicit
-        // worklist to be safe on deep generated instances.
-        let parents: Vec<Member> = d.parents(m).to_vec();
-        for p in parents {
+        // Recursion depth is at most the number of categories: on a
+        // validated instance every link follows an edge of the acyclic
+        // schema (C1), so a chain of parents visits each category at
+        // most once. `done` is set before recursing, so even a cyclic
+        // input terminates.
+        for &p in d.parents(m) {
             Self::fill(d, p, table, done, nc);
             for c in 0..nc {
                 let v = table[p.index() * nc + c];

@@ -14,6 +14,7 @@
 //! plain booleans so the crate layering stays acyclic.
 
 use crate::agg::AggFn;
+use crate::groupby::{group_by, GroupColumn, NO_GROUP};
 use odc_hierarchy::Category;
 use odc_instance::{DimensionInstance, Member, RollupTable};
 use std::collections::BTreeMap;
@@ -167,6 +168,11 @@ impl Cuboid {
 /// Computes a cuboid directly from the raw facts: every row maps each
 /// coordinate to its ancestor at the requested level; rows with any
 /// missing rollup drop out (partial rollups are the heterogeneous case).
+///
+/// This is the naive reference group-by, one `Vec` key per row, and it
+/// deliberately does not use the [`group_by`](crate::groupby::group_by)
+/// kernel: it is the differential oracle that [`roll_up`] and the fact
+/// store's `materialize` are tested against.
 pub fn cuboid(
     facts: &MultiFactTable,
     rollups: &[RollupTable],
@@ -210,27 +216,35 @@ fn levels_name(facts: &MultiFactTable, levels: &[Category]) -> String {
 
 /// Rolls a materialized cuboid up to coarser levels: each cell's
 /// coordinates map to their ancestors at the target levels and the
-/// partial aggregates re-combine with `af^c`.
+/// partial aggregates re-combine with `af^c`. Cells with no ancestor at
+/// some target level drop out.
+///
+/// The cells go through the [`group_by`] kernel: per dimension, one
+/// column holding each cell's ancestor, ranked among the ancestors that
+/// occur. Nothing is allocated per cell except the output keys.
 ///
 /// Exactness requires per-dimension summarizability of `to[i]` from
 /// `{from.levels[i]}` — decide it upstream and gate with
 /// [`RollupPlan::is_safe`].
 pub fn roll_up(from: &Cuboid, rollups: &[RollupTable], to: &[Category]) -> Cuboid {
     assert_eq!(to.len(), from.levels.len());
-    let mut cells: BTreeMap<Vec<Member>, i64> = BTreeMap::new();
-    'cells: for (coords, &v) in &from.cells {
-        let mut key = Vec::with_capacity(coords.len());
+    let mut ids: Vec<Vec<u32>> = vec![Vec::with_capacity(from.len()); to.len()];
+    for coords in from.cells.keys() {
         for (k, &m) in coords.iter().enumerate() {
-            match rollups[k].ancestor_in(m, to[k]) {
-                Some(a) => key.push(a),
-                None => continue 'cells,
-            }
+            ids[k].push(
+                rollups[k]
+                    .ancestor_in(m, to[k])
+                    .map_or(NO_GROUP, |a| a.index() as u32),
+            );
         }
-        cells
-            .entry(key)
-            .and_modify(|acc| *acc = from.agg.combine(*acc, v))
-            .or_insert(v);
     }
+    let members: Vec<Vec<Member>> = ids.iter_mut().map(|col| rank_in_place(col)).collect();
+    let cols: Vec<GroupColumn<'_>> = ids
+        .iter()
+        .zip(&members)
+        .map(|(ids, members)| GroupColumn { ids, members })
+        .collect();
+    let values: Vec<i64> = from.cells.values().copied().collect();
     Cuboid {
         // The rollup tables carry no names; the derived cuboid records
         // its provenance instead. Rename with `with_name` to register it
@@ -238,8 +252,34 @@ pub fn roll_up(from: &Cuboid, rollups: &[RollupTable], to: &[Category]) -> Cuboi
         name: format!("rollup({})", from.name),
         levels: to.to_vec(),
         agg: from.agg,
-        cells,
+        cells: group_by(&cols, &values, from.agg.combiner()),
     }
+}
+
+/// Replaces each member index in `col` with its rank among the distinct
+/// indices present (ascending), leaving [`NO_GROUP`] in place. Returns
+/// the members in rank order.
+fn rank_in_place(col: &mut [u32]) -> Vec<Member> {
+    let universe = col
+        .iter()
+        .filter(|&&m| m != NO_GROUP)
+        .max()
+        .map_or(0, |&m| m as usize + 1);
+    let mut rank = vec![NO_GROUP; universe];
+    for &m in col.iter().filter(|&&m| m != NO_GROUP) {
+        rank[m as usize] = 0;
+    }
+    let mut members = Vec::new();
+    for (m, r) in rank.iter_mut().enumerate() {
+        if *r == 0 {
+            *r = members.len() as u32;
+            members.push(Member::from_index(m));
+        }
+    }
+    for m in col.iter_mut().filter(|m| **m != NO_GROUP) {
+        *m = rank[*m as usize];
+    }
+    members
 }
 
 /// A candidate reuse plan: answer the query at `target` from the
@@ -699,6 +739,72 @@ mod tests {
         // Equality ignores the name: the same data under two names is the
         // same cuboid.
         assert_eq!(base, base.clone().with_name("other"));
+    }
+
+    /// The roll-up computed cell by cell with one `Vec` key per cell:
+    /// the reference for the kernel-backed [`roll_up`], safe plan or not.
+    fn naive_roll_up(
+        from: &Cuboid,
+        rollups: &[RollupTable],
+        to: &[Category],
+    ) -> BTreeMap<Vec<Member>, i64> {
+        let mut cells: BTreeMap<Vec<Member>, i64> = BTreeMap::new();
+        for (coords, &v) in &from.cells {
+            let key: Option<Vec<Member>> = coords
+                .iter()
+                .enumerate()
+                .map(|(k, &m)| rollups[k].ancestor_in(m, to[k]))
+                .collect();
+            if let Some(key) = key {
+                cells
+                    .entry(key)
+                    .and_modify(|acc| *acc = from.agg.combine(*acc, v))
+                    .or_insert(v);
+            }
+        }
+        cells
+    }
+
+    #[test]
+    fn roll_up_matches_the_oracles_at_every_level_pair() {
+        let (stores, time) = dims();
+        let mut f = facts(&stores, &time);
+        let s1 = stores.member_by_key("s1").unwrap();
+        let s2 = stores.member_by_key("s2").unwrap();
+        let d1 = time.member_by_key("d1").unwrap();
+        let d2 = time.member_by_key("d2").unwrap();
+        f.push(vec![s2, d2], -8);
+        f.push(vec![s1, d2], -1);
+        f.push(vec![s2, d1], 0);
+        let rollups = [RollupTable::new(&stores), RollupTable::new(&time)];
+        let levels: Vec<Vec<Category>> = stores
+            .schema()
+            .categories()
+            .flat_map(|a| time.schema().categories().map(move |b| vec![a, b]))
+            .collect();
+        let verdict = |dim: usize, from: Category, to: Category| {
+            let d: &DimensionInstance = if dim == 0 { &stores } else { &time };
+            instance_verdict(d, from, to)
+        };
+        let mut safe_pairs = 0;
+        for agg in AggFn::ALL {
+            for from in &levels {
+                let src = cuboid(&f, &rollups, from, agg);
+                for to in &levels {
+                    let rolled = roll_up(&src, &rollups, to);
+                    assert_eq!(rolled.cells, naive_roll_up(&src, &rollups, to));
+                    let plan = RollupPlan {
+                        source: from.clone(),
+                        target: to.clone(),
+                    };
+                    if plan.is_safe(verdict) {
+                        assert_eq!(rolled, cuboid(&f, &rollups, to, agg), "{from:?} -> {to:?}");
+                        safe_pairs += 1;
+                    }
+                }
+            }
+        }
+        assert!(safe_pairs > 0);
     }
 
     #[test]

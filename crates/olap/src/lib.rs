@@ -30,9 +30,11 @@ pub mod cube;
 pub mod datacube;
 pub mod derive;
 pub mod fact;
+pub mod groupby;
 
 pub use agg::AggFn;
 pub use cube::{cube_view, CubeView};
 pub use datacube::{choose_source, cuboid, roll_up, Cuboid, DataCubeError, MultiFactTable, RollupPlan};
 pub use derive::derive_cube_view;
 pub use fact::{FactTable, FactTableError};
+pub use groupby::{group_by, GroupColumn, NO_GROUP};

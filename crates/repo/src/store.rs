@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use odc_constraint::DimensionSchema;
 use odc_govern::{IoFaultKind, IoFaultPlan};
@@ -85,7 +85,9 @@ pub struct SchemaSync {
 }
 
 struct Inner {
-    map: HashMap<VerdictKey, StoredVerdict>,
+    /// Shared so that a lookup hands out the verdict without copying
+    /// its strings.
+    map: HashMap<VerdictKey, Arc<StoredVerdict>>,
     pending: HashMap<VerdictKey, String>,
     /// fingerprint → (catalog name, schema source, summary lines).
     schemas: HashMap<u64, (String, String, Vec<String>)>,
@@ -195,7 +197,7 @@ impl Inner {
         match rec {
             RecordBody::Put { key, verdict } => {
                 self.pending.remove(&key);
-                self.map.insert(key, verdict);
+                self.map.insert(key, Arc::new(verdict));
             }
             RecordBody::Schema {
                 fingerprint,
@@ -502,7 +504,7 @@ impl VerdictRepo {
     }
 
     /// Look up a decided verdict.
-    pub fn get(&self, key: &VerdictKey) -> Option<StoredVerdict> {
+    pub fn get(&self, key: &VerdictKey) -> Option<Arc<StoredVerdict>> {
         let mut inner = self.locked();
         let hit = inner.map.get(key).cloned();
         if hit.is_some() {
@@ -524,7 +526,7 @@ impl VerdictRepo {
         self.append(&mut inner, &body)?;
         inner.stats.puts += 1;
         inner.pending.remove(&key);
-        inner.map.insert(key, verdict);
+        inner.map.insert(key, Arc::new(verdict));
         Ok(())
     }
 
@@ -588,7 +590,7 @@ impl VerdictRepo {
         if let Some((old_fp, _, old_summary)) = nearest {
             let delta = old_summary.delta(&summary);
             sync.delta = delta.len();
-            let carried: Vec<(VerdictKey, StoredVerdict)> = inner
+            let carried: Vec<(VerdictKey, Arc<StoredVerdict>)> = inner
                 .map
                 .iter()
                 .filter(|(k, _)| k.fingerprint == old_fp)
@@ -602,7 +604,7 @@ impl VerdictRepo {
                     };
                     let body = RecordBody::Put {
                         key: new_key.clone(),
-                        verdict: v.clone(),
+                        verdict: StoredVerdict::clone(&v),
                     };
                     self.append(&mut inner, &body)?;
                     inner.map.insert(new_key, v);
@@ -693,7 +695,7 @@ impl VerdictRepo {
         for (key, verdict) in &inner.map {
             bodies.push(RecordBody::Put {
                 key: key.clone(),
-                verdict: verdict.clone(),
+                verdict: StoredVerdict::clone(verdict),
             });
         }
         for (key, cursor) in &inner.pending {
@@ -757,8 +759,8 @@ mod tests {
             repo.put(key("q2"), verdict("unsat")).unwrap();
         }
         let repo = VerdictRepo::open(&d, Obs::none(), None).unwrap();
-        assert_eq!(repo.get(&key("q1")), Some(verdict("sat")));
-        assert_eq!(repo.get(&key("q2")), Some(verdict("unsat")));
+        assert_eq!(repo.get(&key("q1")).as_deref(), Some(&verdict("sat")));
+        assert_eq!(repo.get(&key("q2")).as_deref(), Some(&verdict("unsat")));
         assert_eq!(repo.get(&key("q3")), None);
         assert_eq!(repo.record_count(), 2);
         let _ = fs::remove_dir_all(&d);
@@ -773,7 +775,7 @@ mod tests {
         }
         fs::remove_file(d.join("index.v1")).unwrap();
         let repo = VerdictRepo::open(&d, Obs::none(), None).unwrap();
-        assert_eq!(repo.get(&key("q1")), Some(verdict("sat")));
+        assert_eq!(repo.get(&key("q1")).as_deref(), Some(&verdict("sat")));
         let _ = fs::remove_dir_all(&d);
     }
 
@@ -790,7 +792,7 @@ mod tests {
         }
         let _ = fs::remove_file(d.join("index.v1"));
         let repo = VerdictRepo::open(&d, Obs::none(), None).unwrap();
-        assert_eq!(repo.get(&key("q1")), Some(verdict("sat")));
+        assert_eq!(repo.get(&key("q1")).as_deref(), Some(&verdict("sat")));
         assert_eq!(repo.get(&key("q2")), None, "torn record is a clean miss");
         let st = repo.stats();
         assert_eq!(st.recovered_records, 1);
@@ -814,7 +816,7 @@ mod tests {
         }
         let repo = VerdictRepo::open(&d, Obs::none(), None).unwrap();
         assert_eq!(repo.pending(&key("q1")), None);
-        assert_eq!(repo.get(&key("q1")), Some(verdict("sat")));
+        assert_eq!(repo.get(&key("q1")).as_deref(), Some(&verdict("sat")));
         let _ = fs::remove_dir_all(&d);
     }
 

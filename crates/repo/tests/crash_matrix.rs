@@ -117,7 +117,7 @@ fn crash_matrix_correct_verdict_or_clean_miss_never_wrong() {
                     if boundaries[i + 1] <= off {
                         // The record's last byte survived the kill:
                         // it must be served, exactly as written.
-                        assert_eq!(got, Some(verdict(i)), "{tag}: record {i} lost");
+                        assert_eq!(got.as_deref(), Some(&verdict(i)), "{tag}: record {i} lost");
                     } else {
                         // Anything at or past the tear is a clean
                         // miss; a wrong verdict is the one outcome
@@ -140,7 +140,11 @@ fn crash_matrix_correct_verdict_or_clean_miss_never_wrong() {
                     // The writer recovered: the store accepts and
                     // serves fresh appends.
                     repo.put(key(777), verdict(777)).unwrap();
-                    assert_eq!(repo.get(&key(777)), Some(verdict(777)), "{tag}: append");
+                    assert_eq!(
+                        repo.get(&key(777)).as_deref(),
+                        Some(&verdict(777)),
+                        "{tag}: append"
+                    );
                 }
                 drop(repo);
                 let _ = fs::remove_dir_all(&d);
@@ -176,10 +180,14 @@ fn writer_recovery_is_idempotent_and_reopenable() {
     let repo = VerdictRepo::open(&base, Obs::none(), None).unwrap();
     assert_eq!(repo.stats().quarantined_bytes, 0, "second open is clean");
     for i in 0..N - 1 {
-        assert_eq!(repo.get(&key(i)), Some(verdict(i)));
+        assert_eq!(repo.get(&key(i)).as_deref(), Some(&verdict(i)));
     }
     assert_eq!(repo.get(&key(N - 1)), None, "torn record stays gone");
-    assert_eq!(repo.get(&key(N)), Some(verdict(N)), "post-recovery append");
+    assert_eq!(
+        repo.get(&key(N)).as_deref(),
+        Some(&verdict(N)),
+        "post-recovery append"
+    );
     assert!(base.join(".quarantine").read_dir().unwrap().next().is_some());
     drop(repo);
     let _ = fs::remove_dir_all(&base);
@@ -193,12 +201,12 @@ fn concurrent_reader_stays_read_only_and_never_lies() {
     let reader = VerdictRepo::open(&d, Obs::none(), None).unwrap();
     assert!(!writer.read_only());
     assert!(reader.read_only());
-    assert_eq!(reader.get(&key(1)), Some(verdict(1)));
+    assert_eq!(reader.get(&key(1)).as_deref(), Some(&verdict(1)));
     // A record appended after the reader's open may be invisible to
     // it (snapshot semantics) but must never surface corrupted.
     writer.put(key(2), verdict(2)).unwrap();
     let got = reader.get(&key(2));
-    assert!(got.is_none() || got == Some(verdict(2)));
+    assert!(got.is_none() || got.as_deref() == Some(&verdict(2)));
     // Dropping the reader must not release the writer's lock.
     drop(reader);
     assert!(d.join("LOCK").exists(), "reader stole the writer's lock");
@@ -206,7 +214,7 @@ fn concurrent_reader_stays_read_only_and_never_lies() {
     drop(writer);
     let again = VerdictRepo::open(&d, Obs::none(), None).unwrap();
     assert!(!again.read_only(), "lock released after writer drop");
-    assert_eq!(again.get(&key(3)), Some(verdict(3)));
+    assert_eq!(again.get(&key(3)).as_deref(), Some(&verdict(3)));
     drop(again);
     let _ = fs::remove_dir_all(&d);
 }

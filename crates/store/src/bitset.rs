@@ -47,12 +47,19 @@ impl BitSet {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Iterates the set indices in ascending order.
+    /// Iterates the set indices in ascending order, visiting only the
+    /// set bits of each word.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &word)| {
-            (0..64)
-                .filter(move |b| word & (1 << b) != 0)
-                .map(move |b| (wi * 64 + b) as u32)
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some((wi * 64 + b) as u32)
+            })
         })
     }
 }
@@ -76,5 +83,28 @@ mod tests {
         assert!(!s.remove(3));
         assert!(!s.remove(9999));
         assert_eq!(s.count(), 1);
+    }
+
+    #[test]
+    fn iter_visits_word_edges_in_ascending_order() {
+        // Word boundaries (0, 63 | 64 | 127 | 128), an empty word
+        // (192..256) between set words, and a sparse high index.
+        let want = [0u32, 63, 64, 127, 128, 130, 256, 1_000_003];
+        let mut s = BitSet::new();
+        for &i in want.iter().rev() {
+            s.insert(i);
+        }
+        let got: Vec<u32> = s.iter().collect();
+        assert_eq!(got, want);
+        assert_eq!(s.count(), got.len());
+        assert!(got.windows(2).all(|w| w[0] < w[1]));
+        // Removing every set bit of one word leaves it empty.
+        s.remove(64);
+        s.remove(127);
+        assert_eq!(
+            s.iter().collect::<Vec<_>>(),
+            [0, 63, 128, 130, 256, 1_000_003]
+        );
+        assert_eq!(BitSet::new().iter().next(), None);
     }
 }

@@ -23,7 +23,8 @@
 //!    benchmark baseline).
 //! 3. **Constraint-aware rollup execution**:
 //!    [`FactStore::materialize`] computes cuboids straight off the
-//!    rollup columns (byte-identical to `odc_olap::cuboid`), measured
+//!    rollup columns through `odc_olap::group_by` (byte-identical to
+//!    `odc_olap::cuboid`), measured
 //!    category cardinalities feed `odc_olap::choose_source`, and
 //!    [`FactStore::summarizability_verdict`] derives the per-dimension
 //!    safety gate from the store itself when no advisor verdicts are

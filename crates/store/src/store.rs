@@ -33,8 +33,7 @@ use odc_core::constraint::DimensionSchema;
 use odc_core::hierarchy::{Category, HierarchySchema};
 use odc_core::instance::text::quote;
 use odc_core::instance::{validate, DimensionInstance, Member};
-use odc_core::olap::{AggFn, Cuboid, MultiFactTable};
-use std::collections::BTreeMap;
+use odc_core::olap::{group_by, AggFn, Cuboid, GroupColumn, MultiFactTable, NO_GROUP};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -824,20 +823,41 @@ impl FactStore {
     /// as `odc_olap::cuboid`, so results are byte-identical, but reading
     /// the maintained rollup columns instead of rebuilding a
     /// `RollupTable`.
+    ///
+    /// Per dimension, the members of the level category are ranked in
+    /// index order (`members_in[level]`), and every fact row gets the
+    /// rank of its ancestor there as its group id. The
+    /// [`group_by`] kernel then folds the measure column in one pass.
     pub fn materialize(&self, levels: &[Category], agg: AggFn) -> Cuboid {
         assert_eq!(levels.len(), self.planes.len(), "level arity mismatch");
-        let mut groups: BTreeMap<Vec<Member>, Vec<i64>> = BTreeMap::new();
-        'rows: for i in 0..self.measures.len() {
-            let mut key = Vec::with_capacity(levels.len());
-            for (k, &level) in levels.iter().enumerate() {
-                let a = self.planes[k].rollup[level.index()][self.fact_cols[k][i] as usize];
-                if a == NONE {
-                    continue 'rows;
-                }
-                key.push(Member::from_index(a as usize));
+        let mut members: Vec<Vec<Member>> = Vec::with_capacity(levels.len());
+        let mut ids: Vec<Vec<u32>> = Vec::with_capacity(levels.len());
+        for ((plane, col), &level) in self.planes.iter().zip(&self.fact_cols).zip(levels) {
+            let mut rank = vec![NO_GROUP; plane.len()];
+            let mut ranked = Vec::new();
+            for m in plane.members_in[level.index()].iter() {
+                rank[m as usize] = ranked.len() as u32;
+                ranked.push(Member::from_index(m as usize));
             }
-            groups.entry(key).or_default().push(self.measures[i]);
+            // Each member's group: the rank of its ancestor at `level`.
+            let group: Vec<u32> = plane.rollup[level.index()]
+                .iter()
+                .map(|&a| {
+                    if a == NONE {
+                        NO_GROUP
+                    } else {
+                        rank[a as usize]
+                    }
+                })
+                .collect();
+            ids.push(col.iter().map(|&m| group[m as usize]).collect());
+            members.push(ranked);
         }
+        let cols: Vec<GroupColumn<'_>> = ids
+            .iter()
+            .zip(&members)
+            .map(|(ids, members)| GroupColumn { ids, members })
+            .collect();
         let name = levels
             .iter()
             .enumerate()
@@ -848,12 +868,7 @@ impl FactStore {
             name,
             levels: levels.to_vec(),
             agg,
-            cells: groups
-                .into_iter()
-                // Groups are created by their first row, so `apply`
-                // never sees an empty one.
-                .filter_map(|(k, vs)| Some((k, agg.apply(&vs)?)))
-                .collect(),
+            cells: group_by(&cols, &self.measures, agg),
         }
     }
 

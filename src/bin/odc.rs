@@ -435,7 +435,7 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
             if let Some(hit) = repo.as_ref().and_then(|r| r.get(&key)) {
                 // The enumeration is deterministic, so the stored text is
                 // what this run would have printed.
-                return Ok(RunOutput::answered(hit.payload));
+                return Ok(RunOutput::answered(hit.payload.clone()));
             }
             let solver = Dimsat::new(&ds).with_observer(obs);
             let start = match &flags.resume {
@@ -567,7 +567,7 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                 .map_err(|e| format!("constraint: {e}"))?;
             let key = vrepo::sub_key(&ds, "cli-implies", constraint);
             if let Some(hit) = repo.as_ref().and_then(|r| r.get(&key)) {
-                return Ok(RunOutput::answered(hit.payload));
+                return Ok(RunOutput::answered(hit.payload.clone()));
             }
             let mut gov = Governor::from_budget(budget).with_observer(obs);
             // Through the run's schema-fingerprinted memo cache, like the
@@ -632,7 +632,7 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                 &format!("{target}<-{}", sources.join("+")),
             );
             if let Some(hit) = repo.as_ref().and_then(|r| r.get(&key)) {
-                return Ok(RunOutput::answered(hit.payload));
+                return Ok(RunOutput::answered(hit.payload.clone()));
             }
             let mut cp = match &flags.resume {
                 Some(path) => {
