@@ -106,6 +106,45 @@ for path in sys.argv[1:]:
 print("plan events OK: planned output byte-identical, one schema_audit plan per run")
 PYEOF
 
+echo "== battery parity over corpus/v1 (plan x jobs, budget-cut and retried) =="
+# Every corpus schema audits identically (stdout and exit code) planned
+# or not, serial or over 3 workers; and an audit cut at 200 nodes and
+# retried 8 times, doubling the budget, ends with the clean report. A
+# retry that still runs out (the fan-out schemas enumerate hundreds of
+# thousands of structures) leaves a checkpoint whose resume must.
+PAR="$WORK/parity"
+mkdir -p "$PAR"
+for schema in corpus/v1/*/schema.txt; do
+  ref_rc=0
+  $ODC check "$schema" > "$PAR/ref.txt" || ref_rc=$?
+  for plan in --plan --no-plan; do
+    for jobs in 1 3; do
+      what="$schema $plan --jobs $jobs"
+      rc=0
+      $ODC check "$schema" $plan --jobs $jobs > "$PAR/run.txt" || rc=$?
+      [ "$rc" -eq "$ref_rc" ] || { echo "$what: exit $rc, clean run exited $ref_rc"; exit 1; }
+      diff "$PAR/ref.txt" "$PAR/run.txt" || { echo "$what: report diverged"; exit 1; }
+      rm -f "$PAR/cp.txt"
+      rc=0
+      $ODC check "$schema" $plan --jobs $jobs --node-limit 200 --retry 8 \
+        --checkpoint "$PAR/cp.txt" > "$PAR/retry.txt" || rc=$?
+      if [ "$rc" -eq 2 ]; then
+        test -s "$PAR/cp.txt" || { echo "$what: undecided retry left no checkpoint"; exit 1; }
+        rc=0
+        $ODC check "$schema" $plan --jobs $jobs --resume "$PAR/cp.txt" > "$PAR/retry.txt" || rc=$?
+      else
+        # The retried report carries one attempt-count line on top.
+        grep -v '^([0-9]* attempts, budget doubled per retry)$' "$PAR/retry.txt" \
+          > "$PAR/retry-report.txt" || true
+        mv "$PAR/retry-report.txt" "$PAR/retry.txt"
+      fi
+      [ "$rc" -eq "$ref_rc" ] || { echo "$what: retried run exited $rc"; exit 1; }
+      diff "$PAR/ref.txt" "$PAR/retry.txt" || { echo "$what: retried report diverged"; exit 1; }
+    done
+  done
+done
+echo "battery parity OK: $(ls corpus/v1/*/schema.txt | wc -l) schemas x 4 runs, clean and retried"
+
 echo "== crash-recovery smoke (verdict repository) =="
 REPODIR="$(mktemp -d /tmp/odc-ci-repo.XXXXXX)"
 trap 'rm -f "$STATS_JSON"; rm -rf "$WORK" "$REPODIR"' EXIT

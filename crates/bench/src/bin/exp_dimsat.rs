@@ -31,9 +31,7 @@ use odc_core::dimsat::SearchStats;
 use odc_core::frozen::ExhaustiveEnumerator;
 use odc_core::plan::SharedFacts;
 use odc_core::prelude::*;
-use odc_core::summarizability::{
-    advisor, is_summarizable_in_schema_governed, is_summarizable_in_schema_parallel,
-};
+use odc_core::summarizability::advisor;
 use odc_rand::SeedableRng;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -135,21 +133,14 @@ fn main() {
         .filter(|c| !c.is_all())
         .count();
     let jobs = bottoms;
-    let serial = timed(|| {
+    let battery = |jobs: usize| {
         let mut gov = Governor::unlimited();
-        is_summarizable_in_schema_governed(&ds, target, &[source], DimsatOptions::default(), &mut gov)
-    });
-    let parallel = timed(|| {
-        is_summarizable_in_schema_parallel(
-            &ds,
-            target,
-            &[source],
-            DimsatOptions::default(),
-            Budget::unlimited(),
-            &CancelToken::new(),
-            jobs,
-        )
-    });
+        let run = Run::new(&mut gov).jobs(jobs);
+        is_summarizable_in_schema_run(&ds, target, &[source], DimsatOptions::default(), run)
+            .expect("nothing to resume")
+    };
+    let serial = timed(|| battery(1));
+    let parallel = timed(|| battery(jobs));
     assert_eq!(
         serial.value.verdict, parallel.value.verdict,
         "battery verdicts must agree"
@@ -330,14 +321,7 @@ fn main() {
     let collector = Arc::new(CollectingObserver::new());
     let facts = SharedFacts::new(ds.hierarchy().num_categories());
     let planned = timed(|| {
-        advisor::audit_planned_parallel_seeded(
-            &ds,
-            Budget::unlimited(),
-            &CancelToken::new(),
-            jobs,
-            Obs::new(collector.clone()),
-            &facts,
-        )
+        planned_audit(&ds, jobs, Obs::new(collector.clone()), &facts)
     });
     assert_eq!(
         planned.value.render(&ds),
@@ -356,14 +340,7 @@ fn main() {
     // second audit of the same schema (or a repo-seeded one) enjoys.
     let warm_collector = Arc::new(CollectingObserver::new());
     let warm = timed(|| {
-        advisor::audit_planned_parallel_seeded(
-            &ds,
-            Budget::unlimited(),
-            &CancelToken::new(),
-            jobs,
-            Obs::new(warm_collector.clone()),
-            &facts,
-        )
+        planned_audit(&ds, jobs, Obs::new(warm_collector.clone()), &facts)
     });
     assert_eq!(warm.value.render(&ds), unplanned.value.render(&ds));
     let warm_ev = warm_collector
@@ -563,4 +540,22 @@ fn battery_sch() -> DimensionSchema {
     b.edge_to_all(t);
     let g = Arc::new(b.build().expect("fixture builds"));
     DimensionSchema::parse(g, "").expect("fixture parses")
+}
+
+/// The planned audit over `jobs` workers, starting from `facts`, with a
+/// run-local memo-cache.
+fn planned_audit(
+    ds: &DimensionSchema,
+    jobs: usize,
+    obs: Obs,
+    facts: &SharedFacts,
+) -> advisor::SchemaReport {
+    let mut gov = Governor::unlimited().with_observer(obs);
+    let cache = odc_core::dimsat::ImplicationCache::for_schema(ds);
+    let run = Run::new(&mut gov)
+        .jobs(jobs)
+        .planned(true)
+        .session(cache.begin_session())
+        .facts(facts);
+    advisor::audit_run(ds, run).expect("nothing to resume")
 }

@@ -77,7 +77,7 @@ pub use odc_govern::{Budget, CancelToken, Governor, Interrupt, InterruptReason};
 pub mod prelude {
     pub use odc_constraint::{parse_constraint, Constraint, DimensionConstraint, DimensionSchema};
     pub use odc_dimsat::{
-        implies, Dimsat, DimsatOptions, ImplicationOutcome, ImplicationVerdict, Verdict,
+        implies, Dimsat, DimsatOptions, ImplicationOutcome, ImplicationVerdict, Run, Verdict,
     };
     pub use odc_frozen::{ExhaustiveEnumerator, FrozenDimension};
     pub use odc_govern::{Budget, CancelToken, Governor, Interrupt, InterruptReason};
@@ -89,8 +89,8 @@ pub mod prelude {
     };
     pub use odc_olap::{cube_view, derive_cube_view, AggFn, CubeView, FactTable};
     pub use odc_summarizability::{
-        is_summarizable_in_instance, is_summarizable_in_schema, summarizability_constraints,
-        SummarizabilityVerdict,
+        is_summarizable_in_instance, is_summarizable_in_schema, is_summarizable_in_schema_run,
+        summarizability_constraints, SummarizabilityVerdict,
     };
 }
 
@@ -292,17 +292,14 @@ pub fn check_summarizable_budgeted(
     let g = ds.hierarchy();
     let c = g.category_by_name(target)?;
     let s: Option<Vec<Category>> = sources.iter().map(|n| g.category_by_name(n)).collect();
+    let s = s?;
     let mut gov = Governor::from_budget(budget);
-    Some(
-        odc_summarizability::is_summarizable_in_schema_governed(
-            ds,
-            c,
-            &s?,
-            odc_dimsat::DimsatOptions::default(),
-            &mut gov,
-        )
-        .verdict,
-    )
+    let opts = odc_dimsat::DimsatOptions::default();
+    // A run with nothing to resume has nothing to refuse.
+    let run = odc_dimsat::Run::new(&mut gov);
+    odc_summarizability::is_summarizable_in_schema_run(ds, c, &s, opts, run)
+        .ok()
+        .map(|out| out.verdict)
 }
 
 #[cfg(test)]

@@ -77,6 +77,7 @@ pub mod anytime;
 pub mod checkpoint;
 pub mod implication;
 pub mod options;
+pub mod run;
 pub mod solver;
 pub mod stats;
 pub mod trace;
@@ -88,6 +89,7 @@ pub use implication::{
     schema_fingerprint, CacheSession, ImplicationCache, ImplicationOutcome, ImplicationVerdict,
 };
 pub use options::{DimsatOptions, TopOrder};
+pub use run::Run;
 pub use solver::{CategorySweep, Dimsat, DimsatOutcome, Verdict};
 pub use stats::SearchStats;
 pub use trace::TraceEvent;

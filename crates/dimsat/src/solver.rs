@@ -2,19 +2,19 @@
 
 use crate::checkpoint::{options_key, SolveCheckpoint, SweepCheckpoint, SOLVE_KIND, SWEEP_KIND};
 use crate::options::{DimsatOptions, TopOrder};
+use crate::run::Run;
 use crate::stats::SearchStats;
 use crate::trace::TraceEvent;
 use odc_constraint::DimensionSchema;
 use odc_frozen::{FrozenContext, FrozenDimension};
 use odc_govern::{
-    Budget, CancelToken, CheckpointEnvelope, CheckpointError, Governor, Interrupt,
-    InterruptReason, SharedGovernor,
+    run_items, Budget, CancelToken, CheckpointEnvelope, CheckpointError, Flow, Governor,
+    Interrupt, InterruptReason,
 };
 use odc_hierarchy::{CatSet, Category, EdgeUndo, HierarchySchema, Subhierarchy};
-use odc_obs::{next_solve_id, Obs, PruneReason, SolveCounters, SolveEnd, SolveStart, WorkerStats};
+use odc_obs::{next_solve_id, Obs, PruneReason, SolveCounters, SolveEnd, SolveStart};
 use odc_plan::SharedFacts;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -148,8 +148,8 @@ pub struct CategorySweep {
     /// match an uninterrupted sweep's).
     pub stats: SearchStats,
     /// Cursor of the category that was mid-solve when the sweep was
-    /// interrupted, when one was recorded (serial sweeps record it; the
-    /// sharded sweep records the lowest-index worker's).
+    /// interrupted, when one was recorded (a parallel sweep keeps the
+    /// lowest-index interrupted category's).
     pub checkpoint: Option<SolveCheckpoint>,
 }
 
@@ -162,62 +162,16 @@ impl CategorySweep {
     }
 }
 
-/// One category's verdict as recorded by a planned sweep driver, kept in
-/// an index cell so out-of-(schema-)order execution still assembles a
-/// schema-order report.
-enum PlannedCell {
+/// One category's verdict in a sweep, kept in an index cell so
+/// out-of-(schema-)order execution still assembles a schema-order report.
+enum Cell {
     Sat,
     Unsat,
     /// Structural abort (fan-out overflow): final, the sweep went on.
     Aborted(InterruptReason),
     /// Budget/cancellation interrupt; carries the mid-solve cursor
     /// (boxed: the cursor dwarfs the other variants).
-    Undecided(Interrupt, Option<Box<SolveCheckpoint>>),
-}
-
-/// Merges planned-sweep cells into a [`CategorySweep`] in schema order.
-/// The lowest-index interrupt (and its cursor) is canonical, matching
-/// the striped parallel sweep's merge discipline.
-fn assemble_planned_sweep(
-    cats: &[Category],
-    mut cells: Vec<Option<PlannedCell>>,
-    stats: SearchStats,
-) -> CategorySweep {
-    let mut sweep = CategorySweep {
-        stats,
-        ..CategorySweep::default()
-    };
-    let mut first_interrupt: Option<(usize, Interrupt)> = None;
-    for (i, cell) in cells.iter().enumerate() {
-        if let Some(PlannedCell::Undecided(intr, _)) = cell {
-            if first_interrupt.is_none_or(|(j, _)| i < j) {
-                first_interrupt = Some((i, *intr));
-            }
-        }
-    }
-    let interrupt_index = first_interrupt.map(|(i, _)| i);
-    sweep.interrupted = first_interrupt.map(|(_, i)| i);
-    for (i, &c) in cats.iter().enumerate() {
-        match cells[i].take() {
-            Some(PlannedCell::Sat) => {
-                sweep.sat.push(c);
-                sweep.decided += 1;
-            }
-            Some(PlannedCell::Unsat) => {
-                sweep.unsat.push(c);
-                sweep.decided += 1;
-            }
-            Some(PlannedCell::Aborted(reason)) => sweep.aborted.push((c, reason)),
-            Some(PlannedCell::Undecided(_, cp)) => {
-                if interrupt_index == Some(i) {
-                    sweep.checkpoint = cp.map(|boxed| *boxed);
-                }
-                sweep.undecided.push(c);
-            }
-            None => sweep.undecided.push(c),
-        }
-    }
-    sweep
+    Undecided(Option<Box<SolveCheckpoint>>),
 }
 
 /// The DIMSAT solver: category satisfiability over a dimension schema.
@@ -345,20 +299,7 @@ impl<'a> Dimsat<'a> {
         cp: &SolveCheckpoint,
         gov: &mut Governor,
     ) -> Result<(Vec<FrozenDimension>, DimsatOutcome), CheckpointError> {
-        if cp.fingerprint != self.schema_fp() {
-            return Err(CheckpointError::FingerprintMismatch {
-                found: cp.fingerprint,
-                expected: self.schema_fp(),
-            });
-        }
-        let key = options_key(&self.opts);
-        if cp.options_key != key {
-            return Err(CheckpointError::malformed(format!(
-                "checkpoint was recorded under options '{}' but this solver runs '{key}' — \
-                 the cursor indexes a different exploration order",
-                cp.options_key
-            )));
-        }
+        self.check_cursor(cp.fingerprint, &cp.options_key)?;
         Ok(self.execute_inner(cp.root, cp.stop_at_first, gov, Some(cp)))
     }
 
@@ -400,65 +341,178 @@ impl<'a> Dimsat<'a> {
     /// lists the rest as undecided — partial work is never discarded.
     pub fn unsatisfiable_categories(&self) -> CategorySweep {
         let mut gov = self.governor();
-        self.unsatisfiable_categories_governed(&mut gov)
+        // With no checkpoint to validate there is no refusal path.
+        self.unsatisfiable_categories_run(Run::new(&mut gov))
+            .unwrap_or_default()
     }
 
-    /// [`Self::unsatisfiable_categories`] under a caller-supplied
-    /// governor.
-    pub fn unsatisfiable_categories_governed(&self, gov: &mut Governor) -> CategorySweep {
-        let mut sweep = CategorySweep::default();
-        for c in self.ds.hierarchy().categories() {
-            if c.is_all() {
-                continue;
-            }
-            if sweep.interrupted.is_some() {
-                sweep.undecided.push(c);
-                continue;
-            }
-            let out = self.category_satisfiable_governed(c, gov);
-            self.record_sweep_outcome(&mut sweep, c, out, gov.interrupt().is_some());
-        }
-        sweep
-    }
-
-    /// Folds one category's outcome into a sweep. A fan-out overflow with
-    /// the governor still healthy is a *structural* abort: the category is
-    /// recorded as undecided-with-reason and the sweep continues past it
-    /// instead of stalling the whole batch on one unenumerable node.
-    fn record_sweep_outcome(
+    /// The sweep's one driver: every category decided under `run`.
+    ///
+    /// Unplanned, categories run in schema order. Planned, they run
+    /// biggest region first (see [`odc_plan::sweep_order`]) with
+    /// shared-fact warm starts: a satisfiable verdict comes with a
+    /// frozen-dimension witness whose restriction to any category it
+    /// contains is itself a witness, so one solve can settle many later
+    /// queries through the facts. Overflow-exposed categories (see
+    /// [`odc_plan::overflow_exposed`]) are never answered from facts, so
+    /// structural aborts surface identically. With `run.jobs > 1` the
+    /// workers take the order in stripes.
+    ///
+    /// Verdicts are assembled in schema order whatever the execution
+    /// order, so every complete sweep reports the same. A fan-out
+    /// overflow with the governor still healthy is a *structural* abort:
+    /// the category is recorded as undecided-with-reason and the sweep
+    /// goes on. On a budget interrupt the lowest-index interrupted
+    /// category's cursor is kept ([`Self::sweep_checkpoint`] packages
+    /// it).
+    ///
+    /// `run.resume` carries decided and aborted verdicts forward and
+    /// resumes the mid-solve category exactly where it stopped; a
+    /// checkpoint from another schema or other options is refused.
+    pub fn unsatisfiable_categories_run(
         &self,
-        sweep: &mut CategorySweep,
-        c: Category,
-        out: DimsatOutcome,
-        gov_tripped: bool,
-    ) {
-        match out.verdict {
-            Verdict::Sat(_) => {
-                sweep.sat.push(c);
-                sweep.decided += 1;
-                sweep.stats.absorb(&out.stats);
+        run: Run<'_, SweepCheckpoint>,
+    ) -> Result<CategorySweep, CheckpointError> {
+        let g = self.ds.hierarchy();
+        let cats: Vec<Category> = g.categories().filter(|c| !c.is_all()).collect();
+        let mut carried: Vec<Option<Cell>> = (0..cats.len()).map(|_| None).collect();
+        let mut sweep = CategorySweep::default();
+        let mut inner = None;
+        if let Some(cp) = run.resume {
+            self.check_cursor(cp.fingerprint, &cp.options_key)?;
+            if let Some(i) = &cp.inner {
+                self.check_cursor(i.fingerprint, &i.options_key)?;
             }
-            Verdict::Unsat => {
-                sweep.unsat.push(c);
-                sweep.decided += 1;
-                sweep.stats.absorb(&out.stats);
+            for (cell, c) in carried.iter_mut().zip(&cats) {
+                *cell = if cp.sat.contains(c) {
+                    Some(Cell::Sat)
+                } else if cp.unsat.contains(c) {
+                    Some(Cell::Unsat)
+                } else {
+                    cp.aborted
+                        .iter()
+                        .find(|(a, _)| a == c)
+                        .map(|&(_, r)| Cell::Aborted(r))
+                };
             }
-            Verdict::Unknown(i)
-                if i.reason == InterruptReason::FanoutOverflow && !gov_tripped =>
-            {
-                sweep.aborted.push((c, i.reason));
-                sweep.stats.absorb(&out.stats);
+            sweep.stats = cp.stats.clone();
+            inner = cp.inner.as_ref();
+        }
+        let local_facts;
+        let facts = match (run.plan, run.facts) {
+            (false, _) => None,
+            (true, Some(f)) => Some(f),
+            (true, None) => {
+                local_facts = SharedFacts::new(g.num_categories());
+                Some(&local_facts)
             }
-            Verdict::Unknown(i) => {
-                sweep.interrupted = Some(i);
-                sweep.undecided.push(c);
-                // The partial counters of this category travel in the
-                // inner cursor, not in sweep.stats: the resumed run
+        };
+        let exposed = run.plan.then(|| odc_plan::overflow_exposed(g));
+        let order: Vec<usize> = if run.plan {
+            let mut pos = vec![usize::MAX; g.num_categories()];
+            for (i, &c) in cats.iter().enumerate() {
+                pos[c.index()] = i;
+            }
+            odc_plan::sweep_order(g).iter().map(|c| pos[c.index()]).collect()
+        } else {
+            (0..cats.len()).collect()
+        };
+        let order = order.into_iter().filter(|&i| carried[i].is_none());
+        let ran = run_items(run.gov, run.jobs, cats.len(), order, "category_sweep", |i, gov| {
+            let c = cats[i];
+            if let (Some(f), Some(exposed)) = (facts, &exposed) {
+                let known = if exposed.contains(c) {
+                    None
+                } else if f.known_sat(c) {
+                    Some(Cell::Sat)
+                } else if f.known_unsat(c) {
+                    Some(Cell::Unsat)
+                } else {
+                    None
+                };
+                if let Some(cell) = known {
+                    f.record_hit();
+                    return ((cell, SearchStats::default()), Flow::Next);
+                }
+            }
+            let out = match inner {
+                Some(cp) if cp.root == c => {
+                    self.execute_inner(c, cp.stop_at_first, gov, Some(cp)).1
+                }
+                _ => self.category_satisfiable_governed(c, gov),
+            };
+            match out.verdict {
+                Verdict::Sat(w) => {
+                    if let Some(f) = facts {
+                        f.note_sat_set(w.subhierarchy().categories());
+                    }
+                    ((Cell::Sat, out.stats), Flow::Next)
+                }
+                Verdict::Unsat => {
+                    if let Some(f) = facts {
+                        f.note_unsat(c);
+                    }
+                    ((Cell::Unsat, out.stats), Flow::Next)
+                }
+                Verdict::Unknown(intr)
+                    if intr.reason == InterruptReason::FanoutOverflow
+                        && gov.interrupt().is_none() =>
+                {
+                    ((Cell::Aborted(intr.reason), out.stats), Flow::Next)
+                }
+                // The partial counters of this category travel in its
+                // cursor, not in the sweep's stats: the resumed run
                 // re-absorbs the category's *complete* stats, keeping
                 // merged totals equal to an uninterrupted sweep's.
-                sweep.checkpoint = out.checkpoint;
+                Verdict::Unknown(intr) => (
+                    (Cell::Undecided(out.checkpoint.map(Box::new)), SearchStats::default()),
+                    Flow::Stop(intr),
+                ),
+            }
+        });
+        sweep.interrupted = ran.interrupt.map(|(_, e)| e);
+        for (i, (&c, fresh)) in cats.iter().zip(ran.items).enumerate() {
+            let cell = match fresh {
+                Some((cell, stats)) => {
+                    sweep.stats.absorb(&stats);
+                    Some(cell)
+                }
+                None => carried[i].take(),
+            };
+            match cell {
+                Some(Cell::Sat) => {
+                    sweep.sat.push(c);
+                    sweep.decided += 1;
+                }
+                Some(Cell::Unsat) => {
+                    sweep.unsat.push(c);
+                    sweep.decided += 1;
+                }
+                Some(Cell::Aborted(reason)) => sweep.aborted.push((c, reason)),
+                Some(Cell::Undecided(cp)) => {
+                    if ran.interrupt.is_some_and(|(j, _)| j == i) {
+                        sweep.checkpoint = cp.map(|boxed| *boxed);
+                    }
+                    sweep.undecided.push(c);
+                }
+                None => sweep.undecided.push(c),
             }
         }
+        Ok(sweep)
+    }
+
+    /// Refuses a cursor recorded against another schema or under other
+    /// options (it would index a different exploration order).
+    fn check_cursor(&self, fingerprint: u64, key: &str) -> Result<(), CheckpointError> {
+        CheckpointError::check_fingerprint(fingerprint, self.schema_fp())?;
+        let ours = options_key(&self.opts);
+        if key != ours {
+            return Err(CheckpointError::malformed(format!(
+                "checkpoint was recorded under options '{key}' but this solver runs '{ours}' — \
+                 the cursor indexes a different exploration order"
+            )));
+        }
+        Ok(())
     }
 
     /// Packages an interrupted sweep into its resumable form. Returns
@@ -474,388 +528,6 @@ impl<'a> Dimsat<'a> {
             stats: sweep.stats.clone(),
             inner: sweep.checkpoint.clone(),
         })
-    }
-
-    /// Continues an interrupted sweep from its checkpoint: decided and
-    /// aborted verdicts are carried forward, the mid-solve category (if
-    /// its cursor was recorded) resumes exactly where it stopped, and the
-    /// undecided remainder is solved fresh — all in schema order, so the
-    /// merged sweep reads identically to an uninterrupted one.
-    pub fn resume_sweep(&self, cp: &SweepCheckpoint) -> Result<CategorySweep, CheckpointError> {
-        let mut gov = self.governor();
-        self.resume_sweep_governed(cp, &mut gov)
-    }
-
-    /// [`Self::resume_sweep`] under a caller-supplied governor.
-    pub fn resume_sweep_governed(
-        &self,
-        cp: &SweepCheckpoint,
-        gov: &mut Governor,
-    ) -> Result<CategorySweep, CheckpointError> {
-        if cp.fingerprint != self.schema_fp() {
-            return Err(CheckpointError::FingerprintMismatch {
-                found: cp.fingerprint,
-                expected: self.schema_fp(),
-            });
-        }
-        let key = options_key(&self.opts);
-        if cp.options_key != key {
-            return Err(CheckpointError::malformed(format!(
-                "sweep checkpoint was recorded under options '{}' but this solver runs '{key}'",
-                cp.options_key
-            )));
-        }
-        let mut sweep = CategorySweep {
-            stats: cp.stats.clone(),
-            ..CategorySweep::default()
-        };
-        for c in self.ds.hierarchy().categories() {
-            if c.is_all() {
-                continue;
-            }
-            if cp.sat.contains(&c) {
-                sweep.sat.push(c);
-                sweep.decided += 1;
-                continue;
-            }
-            if cp.unsat.contains(&c) {
-                sweep.unsat.push(c);
-                sweep.decided += 1;
-                continue;
-            }
-            if let Some(&(_, reason)) = cp.aborted.iter().find(|&&(a, _)| a == c) {
-                sweep.aborted.push((c, reason));
-                continue;
-            }
-            if sweep.interrupted.is_some() {
-                sweep.undecided.push(c);
-                continue;
-            }
-            let out = match &cp.inner {
-                Some(inner) if inner.root == c => self.resume_governed(inner, gov)?.1,
-                _ => self.category_satisfiable_governed(c, gov),
-            };
-            self.record_sweep_outcome(&mut sweep, c, out, gov.interrupt().is_some());
-        }
-        Ok(sweep)
-    }
-
-    /// [`Self::unsatisfiable_categories`] split across `jobs` worker
-    /// threads sharing this solver's budget through one [`SharedGovernor`].
-    /// Categories are striped over the workers and the verdicts merged
-    /// back in schema order, so a complete parallel sweep reports exactly
-    /// what the serial one does.
-    pub fn unsatisfiable_categories_parallel(&self, jobs: usize) -> CategorySweep {
-        let mut shared =
-            SharedGovernor::new(self.budget, self.cancel.clone()).with_observer(self.obs.clone());
-        if let Some(interval) = self.hb_interval {
-            shared = shared.with_heartbeat_interval(interval);
-        }
-        self.unsatisfiable_categories_sharded(&shared, jobs)
-    }
-
-    /// [`Self::unsatisfiable_categories_parallel`] charging a
-    /// caller-supplied shared governor (one budget across several batch
-    /// stages, e.g. the advisor's audit).
-    pub fn unsatisfiable_categories_sharded(
-        &self,
-        shared: &SharedGovernor,
-        jobs: usize,
-    ) -> CategorySweep {
-        let cats: Vec<Category> = self
-            .ds
-            .hierarchy()
-            .categories()
-            .filter(|c| !c.is_all())
-            .collect();
-        let jobs = jobs.max(1).min(cats.len().max(1));
-        if jobs <= 1 {
-            let mut gov = shared.worker();
-            return self.unsatisfiable_categories_governed(&mut gov);
-        }
-        /// One category's verdict as seen by a sweep worker.
-        enum Cell {
-            Sat,
-            Unsat,
-            /// Structural abort (fan-out overflow): final, sweep went on.
-            Aborted(InterruptReason),
-            /// Budget/cancellation interrupt; carries the mid-solve cursor
-            /// (boxed: the cursor dwarfs the other variants).
-            Undecided(Interrupt, Option<Box<SolveCheckpoint>>),
-        }
-        type WorkerSlice = (Vec<(usize, Cell)>, SearchStats);
-        let results: Vec<WorkerSlice> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|w| {
-                    let mut gov = shared.worker();
-                    let cats = &cats;
-                    scope.spawn(move || {
-                        let mut out: Vec<(usize, Cell)> = Vec::new();
-                        let mut stats = SearchStats::default();
-                        for (i, &c) in cats.iter().enumerate().skip(w).step_by(jobs) {
-                            let o = self.category_satisfiable_governed(c, &mut gov);
-                            match o.verdict {
-                                Verdict::Sat(_) => {
-                                    stats.absorb(&o.stats);
-                                    out.push((i, Cell::Sat));
-                                }
-                                Verdict::Unsat => {
-                                    stats.absorb(&o.stats);
-                                    out.push((i, Cell::Unsat));
-                                }
-                                Verdict::Unknown(intr)
-                                    if intr.reason == InterruptReason::FanoutOverflow
-                                        && gov.interrupt().is_none() =>
-                                {
-                                    stats.absorb(&o.stats);
-                                    out.push((i, Cell::Aborted(intr.reason)));
-                                }
-                                Verdict::Unknown(intr) => {
-                                    out.push((i, Cell::Undecided(intr, o.checkpoint.map(Box::new))));
-                                    break;
-                                }
-                            }
-                        }
-                        gov.obs().worker_finished(&WorkerStats {
-                            battery: "category_sweep",
-                            worker: gov.worker_id().unwrap_or(w as u64),
-                            nodes: gov.nodes(),
-                            checks: gov.checks(),
-                            items: out.len() as u64,
-                        });
-                        (out, stats)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(slice) => slice,
-                    // A worker panic is a bug, not a verdict: re-raise it
-                    // instead of reporting the stripe as cleanly undecided.
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
-        });
-        let mut cells: Vec<Option<Cell>> = (0..cats.len()).map(|_| None).collect();
-        let mut sweep = CategorySweep::default();
-        let mut first_interrupt: Option<(usize, Interrupt)> = None;
-        for (slice, stats) in results {
-            sweep.stats.absorb(&stats);
-            for (i, cell) in slice {
-                if let Cell::Undecided(intr, _) = &cell {
-                    if first_interrupt.is_none_or(|(j, _)| i < j) {
-                        first_interrupt = Some((i, *intr));
-                    }
-                }
-                cells[i] = Some(cell);
-            }
-        }
-        let interrupt_index = first_interrupt.map(|(i, _)| i);
-        sweep.interrupted = first_interrupt.map(|(_, i)| i);
-        for (i, &c) in cats.iter().enumerate() {
-            match cells[i].take() {
-                Some(Cell::Sat) => {
-                    sweep.sat.push(c);
-                    sweep.decided += 1;
-                }
-                Some(Cell::Unsat) => {
-                    sweep.unsat.push(c);
-                    sweep.decided += 1;
-                }
-                Some(Cell::Aborted(reason)) => sweep.aborted.push((c, reason)),
-                Some(Cell::Undecided(_, cp)) => {
-                    // Only the lowest-index mid-solve cursor is kept — it
-                    // is the sweep's canonical resume point.
-                    if interrupt_index == Some(i) {
-                        sweep.checkpoint = cp.map(|boxed| *boxed);
-                    }
-                    sweep.undecided.push(c);
-                }
-                None => sweep.undecided.push(c),
-            }
-        }
-        sweep
-    }
-
-    /// [`Self::unsatisfiable_categories_governed`] executed in *planned*
-    /// order with shared-fact warm starts. Categories run biggest region
-    /// first (see [`odc_plan::sweep_order`]): a satisfiable verdict for a
-    /// deep category comes with a frozen-dimension witness, and the
-    /// restriction of that witness to any category it contains is itself
-    /// a valid witness, so one solve can settle many later queries
-    /// through `facts`. Verdicts are assembled in schema order, so a
-    /// complete planned sweep reports exactly what the unplanned one
-    /// does; overflow-exposed categories (see
-    /// [`odc_plan::overflow_exposed`]) are never answered from facts, so
-    /// structural aborts surface identically too.
-    pub fn unsatisfiable_categories_planned_governed(
-        &self,
-        gov: &mut Governor,
-        facts: &SharedFacts,
-    ) -> CategorySweep {
-        let g = self.ds.hierarchy();
-        let cats: Vec<Category> = g.categories().filter(|c| !c.is_all()).collect();
-        let exposed = odc_plan::overflow_exposed(g);
-        let mut pos = vec![usize::MAX; g.num_categories()];
-        for (i, &c) in cats.iter().enumerate() {
-            pos[c.index()] = i;
-        }
-        let mut cells: Vec<Option<PlannedCell>> = (0..cats.len()).map(|_| None).collect();
-        let mut stats = SearchStats::default();
-        for c in odc_plan::sweep_order(g) {
-            let i = pos[c.index()];
-            if !exposed.contains(c) {
-                if facts.known_sat(c) {
-                    facts.record_hit();
-                    cells[i] = Some(PlannedCell::Sat);
-                    continue;
-                }
-                if facts.known_unsat(c) {
-                    facts.record_hit();
-                    cells[i] = Some(PlannedCell::Unsat);
-                    continue;
-                }
-            }
-            let out = self.category_satisfiable_governed(c, gov);
-            match out.verdict {
-                Verdict::Sat(w) => {
-                    facts.note_sat_set(w.subhierarchy().categories());
-                    stats.absorb(&out.stats);
-                    cells[i] = Some(PlannedCell::Sat);
-                }
-                Verdict::Unsat => {
-                    facts.note_unsat(c);
-                    stats.absorb(&out.stats);
-                    cells[i] = Some(PlannedCell::Unsat);
-                }
-                Verdict::Unknown(intr)
-                    if intr.reason == InterruptReason::FanoutOverflow
-                        && gov.interrupt().is_none() =>
-                {
-                    stats.absorb(&out.stats);
-                    cells[i] = Some(PlannedCell::Aborted(intr.reason));
-                }
-                Verdict::Unknown(intr) => {
-                    cells[i] = Some(PlannedCell::Undecided(intr, out.checkpoint.map(Box::new)));
-                    break;
-                }
-            }
-        }
-        assemble_planned_sweep(&cats, cells, stats)
-    }
-
-    /// [`Self::unsatisfiable_categories_planned_governed`] split across
-    /// `jobs` workers pulling from one shared cursor over the planned
-    /// order — the plan *is* the work-stealing order. Facts published by
-    /// any worker warm-start every other worker's remaining queries.
-    pub fn unsatisfiable_categories_planned_sharded(
-        &self,
-        shared: &SharedGovernor,
-        jobs: usize,
-        facts: &SharedFacts,
-    ) -> CategorySweep {
-        let g = self.ds.hierarchy();
-        let cats: Vec<Category> = g.categories().filter(|c| !c.is_all()).collect();
-        let jobs = jobs.max(1).min(cats.len().max(1));
-        if jobs <= 1 {
-            let mut gov = shared.worker();
-            return self.unsatisfiable_categories_planned_governed(&mut gov, facts);
-        }
-        let exposed = odc_plan::overflow_exposed(g);
-        let mut pos = vec![usize::MAX; g.num_categories()];
-        for (i, &c) in cats.iter().enumerate() {
-            pos[c.index()] = i;
-        }
-        let order: Vec<usize> = odc_plan::sweep_order(g)
-            .iter()
-            .map(|c| pos[c.index()])
-            .collect();
-        let cursor = AtomicUsize::new(0);
-        type WorkerSlice = (Vec<(usize, PlannedCell)>, SearchStats);
-        let results: Vec<WorkerSlice> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|w| {
-                    let mut gov = shared.worker();
-                    let cats = &cats;
-                    let order = &order;
-                    let cursor = &cursor;
-                    let exposed = &exposed;
-                    scope.spawn(move || {
-                        let mut out: Vec<(usize, PlannedCell)> = Vec::new();
-                        let mut stats = SearchStats::default();
-                        loop {
-                            let k = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&i) = order.get(k) else { break };
-                            let c = cats[i];
-                            if !exposed.contains(c) {
-                                if facts.known_sat(c) {
-                                    facts.record_hit();
-                                    out.push((i, PlannedCell::Sat));
-                                    continue;
-                                }
-                                if facts.known_unsat(c) {
-                                    facts.record_hit();
-                                    out.push((i, PlannedCell::Unsat));
-                                    continue;
-                                }
-                            }
-                            let o = self.category_satisfiable_governed(c, &mut gov);
-                            match o.verdict {
-                                Verdict::Sat(fd) => {
-                                    facts.note_sat_set(fd.subhierarchy().categories());
-                                    stats.absorb(&o.stats);
-                                    out.push((i, PlannedCell::Sat));
-                                }
-                                Verdict::Unsat => {
-                                    facts.note_unsat(c);
-                                    stats.absorb(&o.stats);
-                                    out.push((i, PlannedCell::Unsat));
-                                }
-                                Verdict::Unknown(intr)
-                                    if intr.reason == InterruptReason::FanoutOverflow
-                                        && gov.interrupt().is_none() =>
-                                {
-                                    stats.absorb(&o.stats);
-                                    out.push((i, PlannedCell::Aborted(intr.reason)));
-                                }
-                                Verdict::Unknown(intr) => {
-                                    out.push((
-                                        i,
-                                        PlannedCell::Undecided(intr, o.checkpoint.map(Box::new)),
-                                    ));
-                                    break;
-                                }
-                            }
-                        }
-                        gov.obs().worker_finished(&WorkerStats {
-                            battery: "category_sweep",
-                            worker: gov.worker_id().unwrap_or(w as u64),
-                            nodes: gov.nodes(),
-                            checks: gov.checks(),
-                            items: out.len() as u64,
-                        });
-                        (out, stats)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(slice) => slice,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
-        });
-        let mut cells: Vec<Option<PlannedCell>> = (0..cats.len()).map(|_| None).collect();
-        let mut stats = SearchStats::default();
-        for (slice, s) in results {
-            stats.absorb(&s);
-            for (i, cell) in slice {
-                cells[i] = Some(cell);
-            }
-        }
-        assemble_planned_sweep(&cats, cells, stats)
     }
 
     fn run(&self, c: Category, stop_at_first: bool, gov: &mut Governor) -> DimsatOutcome {
@@ -1623,6 +1295,14 @@ mod tests {
         assert!(saw_partial, "no limit produced a partially-decided sweep");
     }
 
+    /// The sweep fanned out over `jobs` workers.
+    fn sweep_jobs(solver: &Dimsat<'_>, jobs: usize) -> CategorySweep {
+        let mut gov = solver.governor();
+        solver
+            .unsatisfiable_categories_run(Run::new(&mut gov).jobs(jobs))
+            .expect("nothing to resume")
+    }
+
     #[test]
     fn parallel_sweep_matches_serial() {
         let ds = location_sch();
@@ -1631,7 +1311,7 @@ mod tests {
         let ds2 = ds.with_constraint(extra);
         let serial = Dimsat::new(&ds2).unsatisfiable_categories();
         for jobs in [1, 2, 4, 16] {
-            let par = Dimsat::new(&ds2).unsatisfiable_categories_parallel(jobs);
+            let par = sweep_jobs(&Dimsat::new(&ds2), jobs);
             assert!(par.is_complete());
             assert_eq!(par.unsat, serial.unsat, "jobs={jobs}");
             assert_eq!(par.decided, serial.decided, "jobs={jobs}");
@@ -2114,7 +1794,10 @@ mod tests {
             let cp = solver
                 .load_sweep_checkpoint(&cp.to_text())
                 .expect("sweep cursor roundtrips");
-            let merged = solver.resume_sweep(&cp).expect("same schema resumes");
+            let mut gov = solver.governor();
+            let merged = solver
+                .unsatisfiable_categories_run(Run::new(&mut gov).resume(Some(&cp)))
+                .expect("same schema resumes");
             assert!(merged.is_complete(), "limit={limit}");
             assert_eq!(merged.unsat, clean.unsat, "limit={limit}");
             assert_eq!(merged.sat, clean.sat, "limit={limit}");
@@ -2157,7 +1840,7 @@ mod tests {
         assert_eq!(sweep.decided, 70, "every narrow category decided");
         assert!(sweep.interrupted.is_none());
         // Parallel sweeps apply the same rule.
-        let par = Dimsat::new(&ds).unsatisfiable_categories_parallel(4);
+        let par = sweep_jobs(&Dimsat::new(&ds), 4);
         assert_eq!(par.aborted, sweep.aborted);
         assert_eq!(par.decided, sweep.decided);
         assert!(par.is_complete());

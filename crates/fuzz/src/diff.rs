@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 pub enum Pair {
     /// Trail-based kernel vs clone-based kernel.
     TrailClone,
-    /// Serial category sweep vs work-stealing parallel sweep.
+    /// Serial category sweep vs striped parallel sweep.
     SerialJobs,
     /// Naive Theorem-1 battery vs plan-ordered battery.
     PlannedNoplan,

@@ -9,12 +9,11 @@
 use crate::case::{FuzzCase, Query};
 use crate::diff::Pair;
 use odc_core::dimsat::{
-    AnytimeDriver, Dimsat, DimsatOptions, DimsatOutcome, ImplicationVerdict, Verdict,
+    AnytimeDriver, Dimsat, DimsatOptions, DimsatOutcome, ImplicationVerdict, Run, Verdict,
 };
 use odc_core::prelude::*;
 use odc_core::summarizability::{
-    advisor, is_summarizable_in_schema_governed, is_summarizable_in_schema_planned,
-    SummarizabilityVerdict,
+    advisor, is_summarizable_in_schema_run, BatteryCheckpoint, SummarizabilityVerdict,
 };
 use odc_core::govern::{FaultKind, FaultPlan, FaultTrigger};
 use odc_serve::{Client, ClientError, Response, ServeConfig, Server, ShutdownHandle};
@@ -179,10 +178,7 @@ pub fn answer_direct(ds: &DimensionSchema, q: &Query, opts: DimsatOptions) -> Ob
                 }
             }
             let mut gov = Governor::from_budget(case_budget());
-            summarizability_obs(
-                ds,
-                &is_summarizable_in_schema_governed(ds, c, &s, opts, &mut gov),
-            )
+            battery_obs(ds, c, &s, opts, Run::new(&mut gov))
         }
         Query::Frozen(root) => match g.category_by_name(root) {
             Some(c) => {
@@ -472,7 +468,7 @@ fn trail_clone(ds: &DimensionSchema, case: &FuzzCase, ctx: &PairContext<'_>) -> 
         .collect()
 }
 
-/// Serial category sweep vs the work-stealing parallel one. Only the
+/// Serial category sweep vs the striped parallel one. Only the
 /// `check` queries are differentiated; both sweeps also self-check
 /// their counters (`decided == |sat| + |unsat|`).
 fn serial_jobs(ds: &DimensionSchema, case: &FuzzCase, ctx: &PairContext<'_>) -> Vec<PairResult> {
@@ -482,9 +478,11 @@ fn serial_jobs(ds: &DimensionSchema, case: &FuzzCase, ctx: &PairContext<'_>) -> 
     let serial = Dimsat::new(ds)
         .with_budget(case_budget())
         .unsatisfiable_categories();
-    let par = Dimsat::new(ds)
-        .with_budget(case_budget())
-        .unsatisfiable_categories_parallel(ctx.jobs.max(2));
+    let par_solver = Dimsat::new(ds).with_budget(case_budget());
+    let mut gov = par_solver.governor();
+    let par = par_solver
+        .unsatisfiable_categories_run(Run::new(&mut gov).jobs(ctx.jobs.max(2)))
+        .unwrap_or_default();
     let g = ds.hierarchy();
     let side = |sweep: &odc_core::dimsat::CategorySweep, name: &str| -> Observation {
         let coherent = sweep.decided == sweep.sat.len() + sweep.unsat.len();
@@ -513,7 +511,21 @@ fn serial_jobs(ds: &DimensionSchema, case: &FuzzCase, ctx: &PairContext<'_>) -> 
         .collect()
 }
 
-/// Naive Theorem-1 battery vs the plan-ordered, memoized one.
+/// Observes one Theorem-1 battery run.
+fn battery_obs(
+    ds: &DimensionSchema,
+    c: Category,
+    s: &[Category],
+    opts: DimsatOptions,
+    run: Run<'_, BatteryCheckpoint>,
+) -> Observation {
+    match is_summarizable_in_schema_run(ds, c, s, opts, run) {
+        Ok(out) => summarizability_obs(ds, &out),
+        Err(e) => Observation::error(format!("battery: {e}")),
+    }
+}
+
+/// Naive Theorem-1 battery vs the plan-ordered one.
 fn planned_noplan(ds: &DimensionSchema, case: &FuzzCase) -> Vec<PairResult> {
     case.queries
         .iter()
@@ -530,15 +542,12 @@ fn planned_noplan(ds: &DimensionSchema, case: &FuzzCase) -> Vec<PairResult> {
             if s.len() != sources.len() {
                 return None;
             }
+            let opts = DimsatOptions::default();
             let mut lgov = Governor::from_budget(case_budget());
-            let left = summarizability_obs(
-                ds,
-                &is_summarizable_in_schema_governed(ds, c, &s, DimsatOptions::default(), &mut lgov),
-            );
+            let left = battery_obs(ds, c, &s, opts, Run::new(&mut lgov));
             let mut gov = Governor::from_budget(case_budget());
-            let (out, _stats) =
-                is_summarizable_in_schema_planned(ds, c, &s, DimsatOptions::default(), &mut gov, None);
-            let right = summarizability_obs(ds, &out);
+            let planned = Run::new(&mut gov).planned(true);
+            let right = battery_obs(ds, c, &s, opts, planned);
             Some(PairResult {
                 query: q.to_string(),
                 left,
@@ -596,7 +605,9 @@ fn repo_warm_cold(
     ctx: &PairContext<'_>,
 ) -> Result<Vec<PairResult>, PairError> {
     let mut pgov = Governor::from_budget(case_budget());
-    let plain = advisor::audit_governed(ds, &mut pgov).render(ds);
+    let plain = advisor::audit_run(ds, Run::new(&mut pgov))
+        .map_err(|e| PairError::Setup(e.to_string()))?
+        .render(ds);
     if pgov.interrupt().is_some() {
         // A partial plain audit has no byte-identical promise to hold the
         // repo drivers to; the whole comparison is non-comparable.

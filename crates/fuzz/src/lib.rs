@@ -5,7 +5,7 @@
 //! category satisfiable, is this constraint implied, is this rewriting
 //! summarizable — is answered by the codebase through half a dozen
 //! independent code paths: the trail-based kernel and the clone-based
-//! one, the serial category sweep and the work-stealing parallel one,
+//! one, the serial category sweep and the striped parallel one,
 //! the planned implication battery and the naive one, a fresh solve and
 //! a fault-interrupted-then-resumed one, a repo-warm audit and a cold
 //! one, a resident `odc serve` process and the one-shot library call.

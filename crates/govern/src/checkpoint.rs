@@ -77,6 +77,16 @@ impl CheckpointError {
     pub fn malformed(msg: impl Into<String>) -> Self {
         CheckpointError::Malformed(msg.into())
     }
+
+    /// Refuses a cursor whose schema fingerprint `found` is not the
+    /// `expected` one.
+    pub fn check_fingerprint(found: u64, expected: u64) -> Result<(), Self> {
+        if found == expected {
+            Ok(())
+        } else {
+            Err(CheckpointError::FingerprintMismatch { found, expected })
+        }
+    }
 }
 
 impl fmt::Display for CheckpointError {
@@ -214,12 +224,7 @@ impl CheckpointEnvelope {
                 expected: kind.to_string(),
             });
         }
-        if self.fingerprint != fingerprint {
-            return Err(CheckpointError::FingerprintMismatch {
-                found: self.fingerprint,
-                expected: fingerprint,
-            });
-        }
+        CheckpointError::check_fingerprint(self.fingerprint, fingerprint)?;
         Ok(&self.payload)
     }
 }

@@ -23,6 +23,8 @@
 //! assert!(gov.tick_check().is_err());
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,9 +34,11 @@ use odc_obs::{FaultEvent, Heartbeat, Obs, DEFAULT_HEARTBEAT_INTERVAL};
 
 mod checkpoint;
 mod fault;
+mod runner;
 
 pub use checkpoint::{CheckpointEnvelope, CheckpointError, CHECKPOINT_VERSION};
 pub use fault::{FaultKind, FaultPlan, FaultTrigger, InjectedPanic, IoFaultKind, IoFaultPlan};
+pub use runner::{run_items, Flow, Ran};
 use fault::FaultState;
 
 /// Why a governed search stopped early.
@@ -448,6 +452,10 @@ impl Governor {
                 self.cancel.cancel();
                 Err(self.trip(InterruptReason::Cancelled))
             }
+            // The planned fault *is* a panic: the harness arms it to
+            // prove worker panics propagate. It is the one panic site the
+            // crate's gate admits.
+            #[allow(clippy::panic)]
             FaultKind::Panic => std::panic::panic_any(InjectedPanic { site }),
         }
     }
@@ -577,6 +585,18 @@ impl Governor {
         self.poll()
     }
 
+    /// Charges work done on this governor's behalf by a batch of worker
+    /// governors (see [`run_items`]): the counts land in this governor's
+    /// tallies, and in its shared counters when it has them.
+    fn charge(&mut self, nodes: u64, checks: u64) {
+        self.nodes += nodes;
+        self.checks += checks;
+        if let Some(s) = &self.shared {
+            s.nodes.fetch_add(nodes, Ordering::Relaxed);
+            s.checks.fetch_add(checks, Ordering::Relaxed);
+        }
+    }
+
     /// Guards a recursion depth against the depth limit.
     pub fn guard_depth(&mut self, depth: usize) -> Result<(), Interrupt> {
         if let Some(i) = self.tripped {
@@ -603,6 +623,16 @@ impl Governor {
 struct SharedCounters {
     nodes: AtomicU64,
     checks: AtomicU64,
+}
+
+impl SharedCounters {
+    /// Counters that start from work already charged elsewhere.
+    fn seeded(nodes: u64, checks: u64) -> Self {
+        SharedCounters {
+            nodes: AtomicU64::new(nodes),
+            checks: AtomicU64::new(checks),
+        }
+    }
 }
 
 /// One budget shared by a batch of worker threads.
@@ -668,11 +698,6 @@ impl SharedGovernor {
         self
     }
 
-    /// The observer sink worker governors inherit.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
     /// Mints a per-worker governor charging this shared budget. Send the
     /// result into the worker thread; it behaves like a normal governor
     /// except that limits trip on the batch-wide totals. Workers are
@@ -699,11 +724,6 @@ impl SharedGovernor {
         }
     }
 
-    /// The budget every worker charges.
-    pub fn budget(&self) -> &Budget {
-        &self.budget
-    }
-
     /// The cancellation token every worker watches.
     pub fn cancel_token(&self) -> &CancelToken {
         &self.cancel
@@ -717,11 +737,6 @@ impl SharedGovernor {
     /// Total CHECK invocations consumed across all workers.
     pub fn checks(&self) -> u64 {
         self.counters.checks.load(Ordering::Relaxed)
-    }
-
-    /// Wall-clock time since creation.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
     }
 }
 

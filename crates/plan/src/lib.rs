@@ -28,6 +28,8 @@
 //! results in their original order, so planned and unplanned paths stay
 //! byte-identical.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};

@@ -1,9 +1,9 @@
 //! Repository-backed reasoning drivers.
 //!
 //! Each driver answers the same question as its plain counterpart
-//! (`advisor::audit_governed`, `is_summarizable_in_schema_governed`,
-//! ...) but consults a [`VerdictRepo`] first: decided sub-queries are
-//! answered from disk, fresh ones are solved and stored with their
+//! (`advisor::audit_run`, `is_summarizable_in_schema_run`, ...) but
+//! consults a [`VerdictRepo`] first: decided sub-queries are answered
+//! from disk, fresh ones are solved and stored with their
 //! proof footprint, and interrupted ones leave a pending checkpoint
 //! cursor behind that the next attempt resumes as a warm start
 //! (PR 4's battery and solve checkpoints, persisted per key).
@@ -15,34 +15,19 @@
 
 use odc_constraint::{printer, DimensionConstraint, DimensionSchema};
 use odc_dimsat::checkpoint::options_key;
-use odc_dimsat::{implication, Dimsat, DimsatOptions, Verdict};
+use odc_dimsat::{implication, Dimsat, DimsatOptions, Run, Verdict};
 use odc_govern::{Governor, InterruptReason};
 use odc_hierarchy::Category;
 use odc_plan::SharedFacts;
 use odc_summarizability::advisor::{rewrite_pairs, SchemaReport};
 use odc_summarizability::checkpoint::load_battery_checkpoint;
 use odc_summarizability::{
-    is_summarizable_in_schema_governed, resume_summarizability, SummarizabilityOutcome,
-    SummarizabilityVerdict,
+    is_summarizable_in_schema_run, SummarizabilityOutcome, SummarizabilityVerdict,
 };
 
 use crate::footprint::{region, summarizable_footprint};
 use crate::record::{StoredVerdict, VerdictKey};
 use crate::store::VerdictRepo;
-
-fn blank_report() -> SchemaReport {
-    SchemaReport {
-        unsatisfiable: Vec::new(),
-        redundant_constraints: Vec::new(),
-        structure_census: Vec::new(),
-        safe_rewrites: Vec::new(),
-        undecided_categories: Vec::new(),
-        aborted_categories: Vec::new(),
-        stats: Default::default(),
-        interrupted: None,
-        checkpoint: None,
-    }
-}
 
 /// Key for one audit sub-query of `ds` under the default options.
 pub fn sub_key(ds: &DimensionSchema, kind: &str, query: &str) -> VerdictKey {
@@ -109,7 +94,7 @@ fn census_with_repo(
     Ok((frozen.len(), out.stats))
 }
 
-/// [`odc_summarizability::advisor::audit_governed`] through a
+/// [`odc_summarizability::advisor::audit_run`] through a
 /// [`VerdictRepo`]: every sub-query of all four stages (satisfiability
 /// sweep, constraint redundancy, structure census, safe rewrites) is
 /// keyed, cached, and footprinted individually, so a re-audit after a
@@ -123,7 +108,7 @@ pub fn audit_with_repo(
 ) -> SchemaReport {
     let g = ds.hierarchy();
     let solver = Dimsat::new(ds);
-    let mut report = blank_report();
+    let mut report = SchemaReport::default();
 
     // Stage 1: satisfiability sweep, one record per category.
     let cats: Vec<Category> = g.categories().filter(|c| !c.is_all()).collect();
@@ -239,7 +224,7 @@ pub fn audit_with_repo(
 /// audit's shape: silent and all-zero.
 pub fn warm_audit_from_repo(ds: &DimensionSchema, repo: &VerdictRepo) -> Option<SchemaReport> {
     let g = ds.hierarchy();
-    let mut report = blank_report();
+    let mut report = SchemaReport::default();
     for c in g.categories().filter(|c| !c.is_all()) {
         let hit = repo.get(&sub_key(ds, "sat", g.name(c)))?;
         match hit.value.as_str() {
@@ -404,22 +389,15 @@ pub fn rewrite_with_repo(
             checkpoint: None,
         };
     }
-    let out = match repo
+    let mut pending = repo
         .pending(&key)
-        .and_then(|text| load_battery_checkpoint(ds, &text).ok())
-    {
-        Some(cp) => match resume_summarizability(ds, &cp, DimsatOptions::default(), gov) {
-            Ok(out) => out,
-            Err(_) => is_summarizable_in_schema_governed(
-                ds,
-                coarse,
-                &[fine],
-                DimsatOptions::default(),
-                gov,
-            ),
-        },
-        None => {
-            is_summarizable_in_schema_governed(ds, coarse, &[fine], DimsatOptions::default(), gov)
+        .and_then(|text| load_battery_checkpoint(ds, &text).ok());
+    let out = loop {
+        let run = Run::new(&mut *gov).resume(pending.as_ref());
+        match is_summarizable_in_schema_run(ds, coarse, &[fine], DimsatOptions::default(), run) {
+            Ok(out) => break out,
+            // A pending cursor that no longer fits: solve afresh.
+            Err(_) => pending = None,
         }
     };
     match &out.verdict {

@@ -14,31 +14,36 @@
 //! * **summarizability matrix** — for each pair of categories, whether
 //!   the finer one's view can rebuild the coarser one's.
 //!
-//! All four stages draw from one governed budget. An interrupted audit
-//! returns a partial-but-sound report *plus* an [`AuditCheckpoint`]: the
-//! stage-granular cursor [`audit_resume`] continues from, re-running only
-//! the first undecided item of the interrupted stage (and, for a sweep
-//! interrupt, resuming the sweep's own frame-granular cursor).
+//! [`audit_run`] is the one driver: the four stages run in sequence
+//! under one [`Run`] — serial or over worker threads, unplanned or
+//! through the battery planner, cold or on caller-owned warm state — and
+//! all draw from one governed budget. Each stage is one loop over its
+//! items through [`odc_govern::run_items`]. An interrupted audit returns
+//! a partial-but-sound report *plus* an [`AuditCheckpoint`]: the
+//! stage-granular cursor a later `audit_run` resumes from, re-running
+//! only the first undecided item of the interrupted stage (and, for a
+//! sweep interrupt, resuming the sweep's own frame-granular cursor).
+//! [`audit`] is the paper-level call; [`audit_planned`],
+//! [`audit_planned_governed`], [`audit_planned_memo`] and
+//! [`audit_parallel`] are one-line wrappers over [`audit_run`].
 
 use crate::checkpoint::{AuditCheckpoint, AuditStage};
-use crate::theorem1::{
-    decide_from_pool, is_summarizable_in_schema_governed, is_summarizable_in_schema_session,
-    summarizability_constraints, SummarizabilityOutcome, SummarizabilityVerdict,
-};
+use crate::theorem1::{summarizability_constraints, Battery, Shortcuts, WitnessPools};
 use odc_constraint::{Constraint, DimensionConstraint, DimensionSchema};
-use odc_dimsat::{implication, CacheSession, Dimsat, DimsatOptions, ImplicationCache, SearchStats};
-use odc_frozen::FrozenDimension;
-use odc_govern::{
-    Budget, CancelToken, CheckpointError, Governor, Interrupt, InterruptReason, SharedGovernor,
+use odc_dimsat::{
+    implication, CacheSession, Dimsat, DimsatOptions, ImplicationCache, Run, SearchStats,
+    SweepCheckpoint,
 };
-use odc_hierarchy::{CatSet, Category, HierarchySchema};
-use odc_obs::{Obs, PlanEvent, WorkerStats};
+use odc_govern::{
+    run_items, Budget, CancelToken, CheckpointError, Flow, Governor, Interrupt, InterruptReason,
+};
+use odc_hierarchy::{Category, HierarchySchema};
+use odc_obs::PlanEvent;
 use odc_plan::{PlanStats, SchemaPlan, SharedFacts};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The advisor's findings.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SchemaReport {
     /// Categories with no frozen dimension (no instance can populate
     /// them).
@@ -64,23 +69,9 @@ pub struct SchemaReport {
     /// whatever was proved before the interrupt (a partial report, not a
     /// wrong one).
     pub interrupted: Option<Interrupt>,
-    /// On an interrupted audit: the stage-granular cursor to hand to
-    /// [`audit_resume`].
+    /// On an interrupted audit: the stage-granular cursor to resume from
+    /// (`Run::resume` in [`audit_run`]).
     pub checkpoint: Option<AuditCheckpoint>,
-}
-
-fn blank_report() -> SchemaReport {
-    SchemaReport {
-        unsatisfiable: Vec::new(),
-        redundant_constraints: Vec::new(),
-        structure_census: Vec::new(),
-        safe_rewrites: Vec::new(),
-        undecided_categories: Vec::new(),
-        aborted_categories: Vec::new(),
-        stats: SearchStats::default(),
-        interrupted: None,
-        checkpoint: None,
-    }
 }
 
 impl SchemaReport {
@@ -175,752 +166,55 @@ pub fn rewrite_pairs(g: &HierarchySchema) -> Vec<(Category, Category)> {
 /// inputs.
 pub fn audit(ds: &DimensionSchema) -> SchemaReport {
     let mut gov = Governor::unlimited();
-    audit_governed(ds, &mut gov)
+    drive(ds, Run::new(&mut gov))
 }
 
-/// [`audit`] under a caller-supplied [`Governor`]: all four audits draw
-/// from one budget, and an interrupt yields a partial report (the
-/// completed audits) with [`SchemaReport::interrupted`] set and a
-/// [`SchemaReport::checkpoint`] to resume from.
-pub fn audit_governed(ds: &DimensionSchema, gov: &mut Governor) -> SchemaReport {
-    // With no checkpoint to validate there is no refusal path.
-    audit_governed_from(ds, gov, None, None).unwrap_or_else(|_| blank_report())
-}
-
-/// [`audit_governed`] through a caller-owned implication memo-cache: the
-/// summarizability-matrix stage draws answers from (and feeds) `cache`.
-/// A resident server passes its warm per-schema catalog cache here, so a
-/// repeated audit of the same schema skips the searches an earlier
-/// request already paid for.
-pub fn audit_governed_memo(
+/// The audit's one driver: the four stages in sequence under `run`, all
+/// drawing from its one budget.
+///
+/// * Unplanned, every stage runs its items in their reporting order.
+/// * Planned (`run.plan`), the sweep runs biggest region first with
+///   witness sharing, the redundancy battery is deduped and cost-ordered
+///   ([`SchemaPlan`]), the census doubles as witness-pool construction, and
+///   the rewrites matrix is answered from the pools (Theorem-2 batching)
+///   and the shared facts, with a real solve as the fallback. The audit
+///   emits one `schema_audit` plan event. Stats legitimately differ from
+///   an unplanned run (fewer solves is the point).
+/// * With `run.jobs > 1` each stage's items are spread over workers
+///   (batteries `category_sweep`, `redundancy`, `structure_census`,
+///   `summarizability_matrix`, one `worker_finished` event per worker).
+/// * `run.session` answers the rewrites matrix's repeated implications
+///   through a memo-cache.
+///
+/// Findings are reported in the same order in every mode, so complete
+/// runs render byte-identically. An interrupt yields a partial-but-sound
+/// report with [`SchemaReport::interrupted`] set and a decided-prefix
+/// [`AuditCheckpoint`]: `run.resume` continues it in any mode, seeding
+/// completed stages from the recorded findings, re-running the
+/// interrupted stage from its first undecided item (a sweep interrupt
+/// resumes the sweep's own cursor), and running later stages normally.
+/// A checkpoint from another schema is refused.
+pub fn audit_run(
     ds: &DimensionSchema,
-    gov: &mut Governor,
-    cache: &ImplicationCache,
-) -> SchemaReport {
-    audit_governed_from(ds, gov, None, Some(cache.begin_session()))
-        .unwrap_or_else(|_| blank_report())
-}
-
-/// Resumes an interrupted audit from its checkpoint: completed stages
-/// are seeded from the recorded findings, the interrupted stage picks up
-/// at its first undecided item (a sweep interrupt resumes the sweep's
-/// own cursor), and later stages run normally. Refuses a checkpoint
-/// whose schema fingerprint differs from `ds`'s.
-pub fn audit_resume(
-    ds: &DimensionSchema,
-    cp: &AuditCheckpoint,
-    gov: &mut Governor,
+    run: Run<'_, AuditCheckpoint>,
 ) -> Result<SchemaReport, CheckpointError> {
-    let fp = implication::schema_fingerprint(ds);
-    if cp.fingerprint != fp {
-        return Err(CheckpointError::FingerprintMismatch {
-            found: cp.fingerprint,
-            expected: fp,
-        });
+    if let Some(cp) = run.resume {
+        CheckpointError::check_fingerprint(cp.fingerprint, implication::schema_fingerprint(ds))?;
     }
-    audit_governed_from(ds, gov, Some(cp), None)
+    drive_checked(ds, run)
 }
 
-fn audit_governed_from(
-    ds: &DimensionSchema,
-    gov: &mut Governor,
-    resume: Option<&AuditCheckpoint>,
-    session: Option<CacheSession<'_>>,
-) -> Result<SchemaReport, CheckpointError> {
-    let g = ds.hierarchy();
-    let solver = Dimsat::new(ds);
-    let fp = implication::schema_fingerprint(ds);
-    let mut report = blank_report();
-    // Counters of fully decided queries only: what a checkpoint carries,
-    // so interrupted-plus-resumed totals equal an uninterrupted run's.
-    let mut decided = SearchStats::default();
-    let (start_stage, start_next) = match resume {
-        Some(cp) => (cp.stage, cp.next),
-        None => (AuditStage::Sweep, 0),
-    };
-    if let Some(cp) = resume {
-        report.unsatisfiable = cp.unsatisfiable.clone();
-        report.aborted_categories = cp.aborted.clone();
-        report.redundant_constraints = cp.redundant.clone();
-        report.structure_census = cp.census.clone();
-        report.safe_rewrites = cp.rewrites.clone();
-        report.stats = cp.stats.clone();
-        decided = cp.stats.clone();
-    }
-
-    if start_stage == AuditStage::Sweep {
-        let sweep = match resume.and_then(|cp| cp.sweep.as_ref()) {
-            Some(scp) => solver.resume_sweep_governed(scp, gov)?,
-            None => solver.unsatisfiable_categories_governed(gov),
-        };
-        report.unsatisfiable = sweep.unsat.clone();
-        report.undecided_categories = sweep.undecided.clone();
-        report.aborted_categories = sweep.aborted.clone();
-        report.stats.absorb(&sweep.stats);
-        decided.absorb(&sweep.stats);
-        if let Some(i) = sweep.interrupted {
-            report.interrupted = Some(i);
-            // The sweep's partial counters live inside its own embedded
-            // cursor; the audit-level stats record starts empty so resume
-            // does not double-count them.
-            report.checkpoint = Some(AuditCheckpoint {
-                fingerprint: fp,
-                stage: AuditStage::Sweep,
-                next: 0,
-                stats: SearchStats::default(),
-                unsatisfiable: Vec::new(),
-                aborted: Vec::new(),
-                redundant: Vec::new(),
-                census: Vec::new(),
-                rewrites: Vec::new(),
-                sweep: solver.sweep_checkpoint(&sweep),
-            });
-            return Ok(report);
-        }
-    }
-
-    // A constraint σ is redundant iff (G, Σ \ {σ}) ⊨ σ.
-    if start_stage <= AuditStage::Redundancy {
-        let first = if start_stage == AuditStage::Redundancy {
-            start_next
-        } else {
-            0
-        };
-        for (i, dc) in ds.constraints().iter().enumerate().skip(first) {
-            let mut rest: Vec<DimensionConstraint> = ds.constraints().to_vec();
-            rest.remove(i);
-            let reduced = DimensionSchema::new(ds.hierarchy_arc(), rest);
-            let out = implication::implies_governed(&reduced, dc, DimsatOptions::default(), gov);
-            report.stats.absorb(&out.stats);
-            if let Some(intr) = out.interrupt() {
-                report.interrupted = Some(intr);
-                report.checkpoint = Some(AuditCheckpoint {
-                    fingerprint: fp,
-                    stage: AuditStage::Redundancy,
-                    next: i,
-                    stats: decided,
-                    unsatisfiable: report.unsatisfiable.clone(),
-                    aborted: report.aborted_categories.clone(),
-                    redundant: report.redundant_constraints.clone(),
-                    census: Vec::new(),
-                    rewrites: Vec::new(),
-                    sweep: None,
-                });
-                return Ok(report);
-            }
-            decided.absorb(&out.stats);
-            if out.implied() {
-                report.redundant_constraints.push(i);
-            }
-        }
-    }
-
-    if start_stage <= AuditStage::Census {
-        let first = if start_stage == AuditStage::Census {
-            start_next
-        } else {
-            0
-        };
-        let bottoms: Vec<Category> = g
-            .bottom_categories()
-            .into_iter()
-            .filter(|c| !c.is_all())
-            .collect();
-        for (i, &c) in bottoms.iter().enumerate().skip(first) {
-            let (frozen, out) = solver.enumerate_frozen_governed(c, gov);
-            report.stats.absorb(&out.stats);
-            if let Some(intr) = out.interrupted {
-                report.interrupted = Some(intr);
-                report.checkpoint = Some(AuditCheckpoint {
-                    fingerprint: fp,
-                    stage: AuditStage::Census,
-                    next: i,
-                    stats: decided,
-                    unsatisfiable: report.unsatisfiable.clone(),
-                    aborted: report.aborted_categories.clone(),
-                    redundant: report.redundant_constraints.clone(),
-                    census: report.structure_census.clone(),
-                    rewrites: Vec::new(),
-                    sweep: None,
-                });
-                return Ok(report);
-            }
-            decided.absorb(&out.stats);
-            report.structure_census.push((c, frozen.len()));
-        }
-    }
-
-    // Safe single-view rewrites: coarse ← {fine} for fine ≠ coarse where
-    // fine reaches coarse.
-    let first = if start_stage == AuditStage::Rewrites {
-        start_next
-    } else {
-        0
-    };
-    let pairs = rewrite_pairs(g);
-    for (i, &(coarse, fine)) in pairs.iter().enumerate().skip(first) {
-        let out = match session {
-            Some(s) => is_summarizable_in_schema_session(
-                ds,
-                coarse,
-                &[fine],
-                DimsatOptions::default(),
-                gov,
-                s,
-            ),
-            None => is_summarizable_in_schema_governed(
-                ds,
-                coarse,
-                &[fine],
-                DimsatOptions::default(),
-                gov,
-            ),
-        };
-        report.stats.absorb(&out.stats);
-        if let Some(intr) = out.interrupt() {
-            report.interrupted = Some(intr);
-            report.checkpoint = Some(AuditCheckpoint {
-                fingerprint: fp,
-                stage: AuditStage::Rewrites,
-                next: i,
-                stats: decided,
-                unsatisfiable: report.unsatisfiable.clone(),
-                aborted: report.aborted_categories.clone(),
-                redundant: report.redundant_constraints.clone(),
-                census: report.structure_census.clone(),
-                rewrites: report.safe_rewrites.clone(),
-                sweep: None,
-            });
-            return Ok(report);
-        }
-        decided.absorb(&out.stats);
-        if out.summarizable() {
-            report.safe_rewrites.push((coarse, fine));
-        }
-    }
-
-    Ok(report)
-}
-
-/// Runs the `f(i, gov)` work items `0..n` striped across `jobs` worker
-/// threads, each worker drawing from the shared budget. Returns the
-/// completed results sorted by index plus the lowest-indexed interrupt
-/// (if any worker hit one), with the index it struck at. Results proved
-/// past an interrupt index by other workers are kept — they are sound,
-/// the report just notes it is partial.
-/// One worker's contribution to a striped stage: the results it proved
-/// plus the index where it stopped, if the budget interrupted it.
-type StripeResult<T> = (Vec<(usize, T)>, Option<(usize, Interrupt)>);
-
-fn run_striped<T: Send>(
-    shared: &SharedGovernor,
-    jobs: usize,
-    n: usize,
-    battery: &'static str,
-    f: impl Fn(usize, &mut Governor) -> Result<T, Interrupt> + Sync,
-) -> StripeResult<T> {
-    let jobs = jobs.max(1).min(n.max(1));
-    let per_worker: Vec<StripeResult<T>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|w| {
-                let mut gov = shared.worker();
-                let f = &f;
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    let mut intr = None;
-                    let mut i = w;
-                    while i < n {
-                        match f(i, &mut gov) {
-                            Ok(t) => done.push((i, t)),
-                            Err(e) => {
-                                intr = Some((i, e));
-                                break;
-                            }
-                        }
-                        i += jobs;
-                    }
-                    gov.obs().worker_finished(&WorkerStats {
-                        battery,
-                        worker: gov.worker_id().unwrap_or(w as u64),
-                        nodes: gov.nodes(),
-                        checks: gov.checks(),
-                        items: done.len() as u64,
-                    });
-                    (done, intr)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(slice) => slice,
-                // A worker panic is a bug, not a verdict: re-raise it
-                // instead of reporting the stripe as cleanly empty.
-                Err(panic) => std::panic::resume_unwind(panic),
-            })
-            .collect()
-    });
-    let mut done: Vec<(usize, T)> = Vec::new();
-    let mut first: Option<(usize, Interrupt)> = None;
-    for (d, intr) in per_worker {
-        done.extend(d);
-        if let Some((i, e)) = intr {
-            let replace = match first {
-                None => true,
-                Some((j, _)) => i < j,
-            };
-            if replace {
-                first = Some((i, e));
-            }
-        }
-    }
-    done.sort_by_key(|&(i, _)| i);
-    (done, first)
-}
-
-/// [`audit_governed`] fanned out over `jobs` worker threads. All four
-/// audit stages draw from the single shared `budget`; within each stage
-/// the independent queries are striped across workers, and the
-/// summarizability stage shares one implication memo-cache so repeated
-/// sub-queries are answered once. Findings are reported in the same
-/// order as the serial audit, and an interrupt yields the same
-/// explicitly-partial report plus a resume checkpoint.
-pub fn audit_parallel(
-    ds: &DimensionSchema,
-    budget: Budget,
-    cancel: &CancelToken,
-    jobs: usize,
-) -> SchemaReport {
-    audit_parallel_observed(ds, budget, cancel, jobs, Obs::none())
-}
-
-/// [`audit_parallel`] with a structured-event observer: every worker
-/// governor in every stage inherits the sink, and each stage's workers
-/// report per-worker counters (batteries `category_sweep`, `redundancy`,
-/// `structure_census`, `summarizability_matrix`).
-pub fn audit_parallel_observed(
-    ds: &DimensionSchema,
-    budget: Budget,
-    cancel: &CancelToken,
-    jobs: usize,
-    obs: Obs,
-) -> SchemaReport {
-    audit_parallel_from(ds, budget, cancel, jobs, obs, None).unwrap_or_else(|_| blank_report())
-}
-
-/// [`audit_resume`] fanned out over `jobs` worker threads: the remaining
-/// items of the interrupted stage (and all later stages) are striped
-/// across workers. A sweep-stage checkpoint finishes the sweep on one
-/// worker governor (its cursor is inherently serial), then fans out the
-/// remaining stages.
-pub fn audit_resume_parallel(
-    ds: &DimensionSchema,
-    cp: &AuditCheckpoint,
-    budget: Budget,
-    cancel: &CancelToken,
-    jobs: usize,
-    obs: Obs,
-) -> Result<SchemaReport, CheckpointError> {
-    let fp = implication::schema_fingerprint(ds);
-    if cp.fingerprint != fp {
-        return Err(CheckpointError::FingerprintMismatch {
-            found: cp.fingerprint,
-            expected: fp,
-        });
-    }
-    audit_parallel_from(ds, budget, cancel, jobs, obs, Some(cp))
-}
-
-fn audit_parallel_from(
-    ds: &DimensionSchema,
-    budget: Budget,
-    cancel: &CancelToken,
-    jobs: usize,
-    obs: Obs,
-    resume: Option<&AuditCheckpoint>,
-) -> Result<SchemaReport, CheckpointError> {
-    if jobs <= 1 {
-        let mut gov = Governor::new(budget, cancel.clone()).with_observer(obs);
-        return audit_governed_from(ds, &mut gov, resume, None);
-    }
-    let g = ds.hierarchy();
-    let fp = implication::schema_fingerprint(ds);
-    let solver = Dimsat::new(ds).with_observer(obs.clone());
-    let shared = SharedGovernor::new(budget, cancel.clone()).with_observer(obs);
-    let mut report = blank_report();
-    let mut decided = SearchStats::default();
-    let (start_stage, start_next) = match resume {
-        Some(cp) => (cp.stage, cp.next),
-        None => (AuditStage::Sweep, 0),
-    };
-    if let Some(cp) = resume {
-        report.unsatisfiable = cp.unsatisfiable.clone();
-        report.aborted_categories = cp.aborted.clone();
-        report.redundant_constraints = cp.redundant.clone();
-        report.structure_census = cp.census.clone();
-        report.safe_rewrites = cp.rewrites.clone();
-        report.stats = cp.stats.clone();
-        decided = cp.stats.clone();
-    }
-
-    if start_stage == AuditStage::Sweep {
-        let sweep = match resume.and_then(|cp| cp.sweep.as_ref()) {
-            Some(scp) => {
-                let mut gov = shared.worker();
-                solver.resume_sweep_governed(scp, &mut gov)?
-            }
-            None => solver.unsatisfiable_categories_sharded(&shared, jobs),
-        };
-        report.unsatisfiable = sweep.unsat.clone();
-        report.undecided_categories = sweep.undecided.clone();
-        report.aborted_categories = sweep.aborted.clone();
-        report.stats.absorb(&sweep.stats);
-        decided.absorb(&sweep.stats);
-        if let Some(i) = sweep.interrupted {
-            report.interrupted = Some(i);
-            report.checkpoint = Some(AuditCheckpoint {
-                fingerprint: fp,
-                stage: AuditStage::Sweep,
-                next: 0,
-                stats: SearchStats::default(),
-                unsatisfiable: Vec::new(),
-                aborted: Vec::new(),
-                redundant: Vec::new(),
-                census: Vec::new(),
-                rewrites: Vec::new(),
-                sweep: solver.sweep_checkpoint(&sweep),
-            });
-            return Ok(report);
-        }
-    }
-
-    // A constraint σ is redundant iff (G, Σ \ {σ}) ⊨ σ.
-    if start_stage <= AuditStage::Redundancy {
-        let first = if start_stage == AuditStage::Redundancy {
-            start_next
-        } else {
-            0
-        };
-        let n = ds.constraints().len();
-        let (res, intr) = run_striped(
-            &shared,
-            jobs,
-            n.saturating_sub(first),
-            "redundancy",
-            |k, gov| {
-                let i = first + k;
-                let dc = &ds.constraints()[i];
-                let mut rest: Vec<DimensionConstraint> = ds.constraints().to_vec();
-                rest.remove(i);
-                let reduced = DimensionSchema::new(ds.hierarchy_arc(), rest);
-                let out =
-                    implication::implies_governed(&reduced, dc, DimsatOptions::default(), gov);
-                match out.interrupt() {
-                    Some(e) => Err(e),
-                    None => Ok((out.implied(), out.stats.clone())),
-                }
-            },
-        );
-        let next = intr.as_ref().map(|&(k, _)| first + k);
-        for &(k, (implied, ref stats)) in &res {
-            report.stats.absorb(stats);
-            if next.is_none_or(|nx| first + k < nx) {
-                decided.absorb(stats);
-            }
-            if implied {
-                report.redundant_constraints.push(first + k);
-            }
-        }
-        if let Some((k, e)) = intr {
-            report.interrupted = Some(e);
-            report.checkpoint = Some(AuditCheckpoint {
-                fingerprint: fp,
-                stage: AuditStage::Redundancy,
-                next: first + k,
-                stats: decided,
-                unsatisfiable: report.unsatisfiable.clone(),
-                aborted: report.aborted_categories.clone(),
-                // The checkpoint keeps the decided *prefix* only —
-                // results other workers proved beyond the interrupt index
-                // re-run on resume, keeping merged totals identical to a
-                // clean run.
-                redundant: report
-                    .redundant_constraints
-                    .iter()
-                    .copied()
-                    .filter(|&i| i < first + k)
-                    .collect(),
-                census: Vec::new(),
-                rewrites: Vec::new(),
-                sweep: None,
-            });
-            return Ok(report);
-        }
-    }
-
-    if start_stage <= AuditStage::Census {
-        let first = if start_stage == AuditStage::Census {
-            start_next
-        } else {
-            0
-        };
-        let bottoms: Vec<Category> = g
-            .bottom_categories()
-            .into_iter()
-            .filter(|c| !c.is_all())
-            .collect();
-        let (res, intr) = run_striped(
-            &shared,
-            jobs,
-            bottoms.len().saturating_sub(first),
-            "structure_census",
-            |k, gov| {
-                let (frozen, out) = solver.enumerate_frozen_governed(bottoms[first + k], gov);
-                match out.interrupted {
-                    Some(e) => Err(e),
-                    None => Ok((frozen.len(), out.stats.clone())),
-                }
-            },
-        );
-        let next = intr.as_ref().map(|&(k, _)| first + k);
-        for &(k, (n_structs, ref stats)) in &res {
-            report.stats.absorb(stats);
-            if next.is_none_or(|nx| first + k < nx) {
-                decided.absorb(stats);
-            }
-            report.structure_census.push((bottoms[first + k], n_structs));
-        }
-        if let Some((k, e)) = intr {
-            report.interrupted = Some(e);
-            let cut = first + k;
-            report.checkpoint = Some(AuditCheckpoint {
-                fingerprint: fp,
-                stage: AuditStage::Census,
-                next: cut,
-                stats: decided,
-                unsatisfiable: report.unsatisfiable.clone(),
-                aborted: report.aborted_categories.clone(),
-                redundant: report.redundant_constraints.clone(),
-                census: report
-                    .structure_census
-                    .iter()
-                    .filter(|&&(c, _)| {
-                        bottoms.iter().position(|&b| b == c).is_some_and(|i| i < cut)
-                    })
-                    .copied()
-                    .collect(),
-                rewrites: Vec::new(),
-                sweep: None,
-            });
-            return Ok(report);
-        }
-    }
-
-    // Safe single-view rewrites, sharing one memo-cache across workers.
-    let first = if start_stage == AuditStage::Rewrites {
-        start_next
-    } else {
-        0
-    };
-    let pairs = rewrite_pairs(g);
+/// [`audit`] through the planner on a caller's governor, with a
+/// run-local memo-cache behind the rewrites matrix.
+pub fn audit_planned_governed(ds: &DimensionSchema, gov: &mut Governor) -> SchemaReport {
     let cache = ImplicationCache::for_schema(ds);
-    // One session for the whole audit: every worker's reuse is
-    // within-session (plain hits), matching the serial audit's counters.
-    let session = cache.begin_session();
-    let (res, intr) = run_striped(
-        &shared,
-        jobs,
-        pairs.len().saturating_sub(first),
-        "summarizability_matrix",
-        |k, gov| {
-            let (coarse, fine) = pairs[first + k];
-            let out = is_summarizable_in_schema_session(
-                ds,
-                coarse,
-                &[fine],
-                DimsatOptions::default(),
-                gov,
-                session,
-            );
-            match out.interrupt() {
-                Some(e) => Err(e),
-                None => Ok((out.summarizable(), out.stats.clone())),
-            }
-        },
-    );
-    let next = intr.as_ref().map(|&(k, _)| first + k);
-    for &(k, (safe, ref stats)) in &res {
-        report.stats.absorb(stats);
-        if next.is_none_or(|nx| first + k < nx) {
-            decided.absorb(stats);
-        }
-        if safe {
-            report.safe_rewrites.push(pairs[first + k]);
-        }
-    }
-    if let Some((k, e)) = intr {
-        report.interrupted = Some(e);
-        let cut = first + k;
-        report.checkpoint = Some(AuditCheckpoint {
-            fingerprint: fp,
-            stage: AuditStage::Rewrites,
-            next: cut,
-            stats: decided,
-            unsatisfiable: report.unsatisfiable.clone(),
-            aborted: report.aborted_categories.clone(),
-            redundant: report.redundant_constraints.clone(),
-            census: report.structure_census.clone(),
-            rewrites: report
-                .safe_rewrites
-                .iter()
-                .filter(|&&(coarse, fine)| {
-                    pairs.iter().position(|&p| p == (coarse, fine)).is_some_and(|i| i < cut)
-                })
-                .copied()
-                .collect(),
-            sweep: None,
-        });
-    }
-    Ok(report)
+    drive(ds, Run::new(gov).planned(true).session(cache.begin_session()))
 }
 
-/// Per-bottom witness pools produced by a *complete* census enumeration:
-/// `pool[b]` holds one frozen dimension per inducing subhierarchy rooted
-/// at `b` (empty when `b` is unsatisfiable). By Theorem 2 these pools
-/// answer every pure-path rooted implication — in particular the whole
-/// rewrites matrix — without another search.
-type WitnessPools = HashMap<Category, Vec<FrozenDimension>>;
-
-/// Emits the audit's final `plan` event: fact hits are tallied from the
-/// shared scratchpad (the sweep, census, and rewrites shortcuts all
-/// record into it), batched answers from the pool evaluation counter.
-fn emit_audit_plan(obs: &Obs, mut plan: PlanStats, facts: &SharedFacts, hits_before: u64) {
-    plan.fact_hits = facts.hits().saturating_sub(hits_before);
-    obs.plan(&PlanEvent {
-        battery: "schema_audit",
-        queries: plan.queries,
-        deduped: plan.deduped,
-        reordered: plan.reordered,
-        fact_hits: plan.fact_hits,
-        batched: plan.batched,
-    });
-}
-
-/// One rewrite pair's Theorem-1 battery, answered from shared facts and
-/// census witness pools wherever soundness allows, with a real solve as
-/// the fallback:
-///
-/// * a bottom the sweep proved unsatisfiable roots *no* frozen
-///   dimension, so its battery constraint is vacuously implied (sound
-///   against the full schema — this shortcut is never used for the
-///   redundancy stage, whose queries run against a reduced schema);
-/// * a complete witness pool decides a structurally-evaluable constraint
-///   by Theorem-2 quantification ([`decide_from_pool`]);
-/// * overflow-exposed bottoms take neither shortcut, so structural
-///   aborts surface exactly as the unplanned battery would surface them.
-///
-/// The verdict (and failing bottom, the first refuted constraint in
-/// bottom order) matches the unplanned battery; the counterexample may
-/// be a different — equally valid — witness.
-#[allow(clippy::too_many_arguments)]
-fn planned_pair_battery(
-    ds: &DimensionSchema,
-    coarse: Category,
-    fine: Category,
-    gov: &mut Governor,
-    session: Option<CacheSession<'_>>,
-    facts: &SharedFacts,
-    pools: &WitnessPools,
-    exposed: &CatSet,
-    batched: &AtomicU64,
-) -> SummarizabilityOutcome {
-    let mut stats = SearchStats::default();
-    for dc in summarizability_constraints(ds.hierarchy(), coarse, &[fine]) {
-        let root = dc.root();
-        if !exposed.contains(root) {
-            if facts.known_unsat(root) {
-                facts.record_hit();
-                continue;
-            }
-            if let Some(witnesses) = pools.get(&root) {
-                match decide_from_pool(&dc, witnesses) {
-                    Some(Ok(())) => {
-                        batched.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    Some(Err(w)) => {
-                        batched.fetch_add(1, Ordering::Relaxed);
-                        return SummarizabilityOutcome {
-                            verdict: SummarizabilityVerdict::NotSummarizable,
-                            failing_bottom: Some(root),
-                            counterexample: Some(w),
-                            stats,
-                            checkpoint: None,
-                        };
-                    }
-                    None => {}
-                }
-            }
-        }
-        let out = match session {
-            Some(s) => {
-                implication::implies_memo_session(ds, &dc, DimsatOptions::default(), gov, s)
-            }
-            None => implication::implies_governed(ds, &dc, DimsatOptions::default(), gov),
-        };
-        stats.absorb(&out.stats);
-        if let Some(intr) = out.interrupt() {
-            return SummarizabilityOutcome {
-                verdict: SummarizabilityVerdict::Unknown(intr),
-                failing_bottom: None,
-                counterexample: None,
-                stats,
-                // The audit checkpoints at pair granularity, like the
-                // unplanned parallel audit.
-                checkpoint: None,
-            };
-        }
-        if !out.implied() {
-            return SummarizabilityOutcome {
-                verdict: SummarizabilityVerdict::NotSummarizable,
-                failing_bottom: Some(root),
-                counterexample: out.counterexample,
-                stats,
-                checkpoint: None,
-            };
-        }
-    }
-    SummarizabilityOutcome {
-        verdict: SummarizabilityVerdict::Summarizable,
-        failing_bottom: None,
-        counterexample: None,
-        stats,
-        checkpoint: None,
-    }
-}
-
-/// [`audit`] through the cross-query planner: the sweep runs biggest
-/// region first with witness sharing, the redundancy battery is deduped
-/// and cost-ordered, the census doubles as a witness-pool builder, and
-/// the rewrites matrix is answered from the pools (Theorem-2 batching)
-/// with solver fallback. Complete planned and unplanned audits render
-/// byte-identically; stats legitimately differ (fewer solves is the
-/// point). An interrupt yields the same partial-report shape with a
-/// checkpoint the *unplanned* resume paths consume unchanged.
+/// [`audit_planned_governed`] with no resource limits.
 pub fn audit_planned(ds: &DimensionSchema) -> SchemaReport {
     let mut gov = Governor::unlimited();
     audit_planned_governed(ds, &mut gov)
-}
-
-/// [`audit_planned`] under a caller-supplied governor. The rewrites
-/// fallback solves run through a run-local implication memo-cache, so
-/// the serial planned path never repeats work the parallel path would
-/// memoize.
-pub fn audit_planned_governed(ds: &DimensionSchema, gov: &mut Governor) -> SchemaReport {
-    let cache = ImplicationCache::for_schema(ds);
-    let sp = SchemaPlan::for_schema(ds);
-    let facts = SharedFacts::new(ds.hierarchy().num_categories());
-    audit_planned_from(ds, gov, Some(cache.begin_session()), &sp, &facts)
 }
 
 /// [`audit_planned_governed`] through caller-owned warm state: the
@@ -935,473 +229,444 @@ pub fn audit_planned_memo(
     sp: &SchemaPlan,
     facts: &SharedFacts,
 ) -> SchemaReport {
-    audit_planned_from(ds, gov, Some(cache.begin_session()), sp, facts)
+    drive(
+        ds,
+        Run::new(gov)
+            .planned(true)
+            .session(cache.begin_session())
+            .warm(sp, facts),
+    )
 }
 
-fn audit_planned_from(
-    ds: &DimensionSchema,
-    gov: &mut Governor,
-    session: Option<CacheSession<'_>>,
-    sp: &SchemaPlan,
-    facts: &SharedFacts,
-) -> SchemaReport {
-    let g = ds.hierarchy();
-    let solver = Dimsat::new(ds);
-    let fp = implication::schema_fingerprint(ds);
-    let exposed = &sp.exposed;
-    let hits_before = facts.hits();
-    let mut plan = PlanStats::default();
-    let batched = AtomicU64::new(0);
-    let mut report = blank_report();
-    let mut decided = SearchStats::default();
-
-    // Stage 1: planned sweep (biggest regions first, witness sharing).
-    plan.queries += g.categories().filter(|c| !c.is_all()).count() as u64;
-    let sweep = solver.unsatisfiable_categories_planned_governed(gov, facts);
-    report.unsatisfiable = sweep.unsat.clone();
-    report.undecided_categories = sweep.undecided.clone();
-    report.aborted_categories = sweep.aborted.clone();
-    report.stats.absorb(&sweep.stats);
-    decided.absorb(&sweep.stats);
-    if let Some(i) = sweep.interrupted {
-        report.interrupted = Some(i);
-        report.checkpoint = Some(AuditCheckpoint {
-            fingerprint: fp,
-            stage: AuditStage::Sweep,
-            next: 0,
-            stats: SearchStats::default(),
-            unsatisfiable: Vec::new(),
-            aborted: Vec::new(),
-            redundant: Vec::new(),
-            census: Vec::new(),
-            rewrites: Vec::new(),
-            sweep: solver.sweep_checkpoint(&sweep),
-        });
-        emit_audit_plan(gov.obs(), plan, facts, hits_before);
-        return report;
-    }
-
-    // Stage 2: redundancy, deduped + cost-ordered. Only execution is
-    // reordered; verdicts are reported (and checkpointed) in constraint
-    // order. σ_i ≡ σ_j after normalization ⇒ the two reduced schemas
-    // are logically equivalent, so aliasing copies a semantically
-    // identical verdict.
-    let constraints = ds.constraints();
-    let rplan = &sp.battery;
-    plan.queries += rplan.stats.queries;
-    plan.deduped += rplan.stats.deduped;
-    plan.reordered += rplan.stats.reordered;
-    let mut verdicts: Vec<Option<(bool, SearchStats)>> = vec![None; constraints.len()];
-    let mut interrupt: Option<Interrupt> = None;
-    for &i in &rplan.order {
-        let dc = &constraints[i];
-        let mut rest: Vec<DimensionConstraint> = constraints.to_vec();
-        rest.remove(i);
-        let reduced = DimensionSchema::new(ds.hierarchy_arc(), rest);
-        let out = implication::implies_governed(&reduced, dc, DimsatOptions::default(), gov);
-        report.stats.absorb(&out.stats);
-        if let Some(e) = out.interrupt() {
-            interrupt = Some(e);
-            break;
-        }
-        verdicts[i] = Some((out.implied(), out.stats.clone()));
-    }
-    for i in 0..constraints.len() {
-        if let Some(j) = rplan.alias_of[i] {
-            if let Some((implied, _)) = verdicts[j] {
-                verdicts[i] = Some((implied, SearchStats::default()));
-            }
-        }
-    }
-    let next = (0..constraints.len()).find(|&i| verdicts[i].is_none());
-    for (i, v) in verdicts.iter().enumerate() {
-        if let Some((implied, ref stats)) = *v {
-            if next.is_none_or(|nx| i < nx) {
-                decided.absorb(stats);
-            }
-            if implied {
-                report.redundant_constraints.push(i);
-            }
-        }
-    }
-    if let Some(e) = interrupt {
-        let nx = next.unwrap_or(constraints.len());
-        report.interrupted = Some(e);
-        report.checkpoint = Some(AuditCheckpoint {
-            fingerprint: fp,
-            stage: AuditStage::Redundancy,
-            next: nx,
-            stats: decided,
-            unsatisfiable: report.unsatisfiable.clone(),
-            aborted: report.aborted_categories.clone(),
-            redundant: report
-                .redundant_constraints
-                .iter()
-                .copied()
-                .filter(|&i| i < nx)
-                .collect(),
-            census: Vec::new(),
-            rewrites: Vec::new(),
-            sweep: None,
-        });
-        emit_audit_plan(gov.obs(), plan, facts, hits_before);
-        return report;
-    }
-
-    // Stage 3: census, doubling as witness-pool construction. A bottom
-    // the sweep proved unsatisfiable has zero frozen dimensions by
-    // definition — its census entry (and empty pool) is free.
-    let bottoms: Vec<Category> = g
-        .bottom_categories()
-        .into_iter()
-        .filter(|c| !c.is_all())
-        .collect();
-    plan.queries += bottoms.len() as u64;
-    let mut pools: WitnessPools = HashMap::new();
-    for (i, &c) in bottoms.iter().enumerate() {
-        if !exposed.contains(c) && facts.known_unsat(c) {
-            facts.record_hit();
-            report.structure_census.push((c, 0));
-            pools.insert(c, Vec::new());
-            continue;
-        }
-        let (frozen, out) = solver.enumerate_frozen_governed(c, gov);
-        report.stats.absorb(&out.stats);
-        if let Some(intr) = out.interrupted {
-            report.interrupted = Some(intr);
-            report.checkpoint = Some(AuditCheckpoint {
-                fingerprint: fp,
-                stage: AuditStage::Census,
-                next: i,
-                stats: decided,
-                unsatisfiable: report.unsatisfiable.clone(),
-                aborted: report.aborted_categories.clone(),
-                redundant: report.redundant_constraints.clone(),
-                census: report.structure_census.clone(),
-                rewrites: Vec::new(),
-                sweep: None,
-            });
-            emit_audit_plan(gov.obs(), plan, facts, hits_before);
-            return report;
-        }
-        decided.absorb(&out.stats);
-        report.structure_census.push((c, frozen.len()));
-        if frozen.is_empty() {
-            facts.note_unsat(c);
-        }
-        pools.insert(c, frozen);
-    }
-
-    // Stage 4: the rewrites matrix, answered from the pools.
-    let pairs = rewrite_pairs(g);
-    plan.queries += (pairs.len() * bottoms.len()) as u64;
-    for (i, &(coarse, fine)) in pairs.iter().enumerate() {
-        let out = planned_pair_battery(
-            ds, coarse, fine, gov, session, facts, &pools, exposed, &batched,
-        );
-        report.stats.absorb(&out.stats);
-        if let Some(intr) = out.interrupt() {
-            report.interrupted = Some(intr);
-            report.checkpoint = Some(AuditCheckpoint {
-                fingerprint: fp,
-                stage: AuditStage::Rewrites,
-                next: i,
-                stats: decided,
-                unsatisfiable: report.unsatisfiable.clone(),
-                aborted: report.aborted_categories.clone(),
-                redundant: report.redundant_constraints.clone(),
-                census: report.structure_census.clone(),
-                rewrites: report.safe_rewrites.clone(),
-                sweep: None,
-            });
-            plan.batched += batched.load(Ordering::Relaxed);
-            emit_audit_plan(gov.obs(), plan, facts, hits_before);
-            return report;
-        }
-        decided.absorb(&out.stats);
-        if out.summarizable() {
-            report.safe_rewrites.push((coarse, fine));
-        }
-    }
-    plan.batched += batched.load(Ordering::Relaxed);
-    emit_audit_plan(gov.obs(), plan, facts, hits_before);
-    report
-}
-
-/// [`audit_planned`] fanned out over `jobs` workers: the sweep's plan is
-/// the work-stealing order, and the later stages stripe their (mostly
-/// pool-answered) items under the same shared budget.
-pub fn audit_planned_parallel(
+/// The unplanned audit over `jobs` workers under `budget`, with a
+/// run-local memo-cache behind the rewrites matrix: the from-scratch
+/// reference planned audits are compared against.
+pub fn audit_parallel(
     ds: &DimensionSchema,
     budget: Budget,
     cancel: &CancelToken,
     jobs: usize,
 ) -> SchemaReport {
-    audit_planned_parallel_observed(ds, budget, cancel, jobs, Obs::none())
+    let mut gov = Governor::new(budget, cancel.clone());
+    let cache = ImplicationCache::for_schema(ds);
+    drive(ds, Run::new(&mut gov).jobs(jobs).session(cache.begin_session()))
 }
 
-/// [`audit_planned_parallel`] with a structured-event observer.
-pub fn audit_planned_parallel_observed(
-    ds: &DimensionSchema,
-    budget: Budget,
-    cancel: &CancelToken,
-    jobs: usize,
-    obs: Obs,
-) -> SchemaReport {
-    let facts = SharedFacts::new(ds.hierarchy().num_categories());
-    audit_planned_parallel_seeded(ds, budget, cancel, jobs, obs, &facts)
+/// An audit with nothing to resume (so nothing to refuse).
+fn drive(ds: &DimensionSchema, run: Run<'_, AuditCheckpoint>) -> SchemaReport {
+    drive_checked(ds, run).unwrap_or_default()
 }
 
-/// [`audit_planned_parallel_observed`] with caller-seeded shared facts:
-/// a repository-backed audit pre-loads stored sat/unsat verdicts so the
-/// planner skips solves the store already proves.
-pub fn audit_planned_parallel_seeded(
+/// [`audit_run`] past the fingerprint check; an embedded sweep cursor
+/// is still checked when the sweep resumes.
+fn drive_checked(
     ds: &DimensionSchema,
-    budget: Budget,
-    cancel: &CancelToken,
-    jobs: usize,
-    obs: Obs,
-    facts: &SharedFacts,
-) -> SchemaReport {
-    if jobs <= 1 {
-        let mut gov = Governor::new(budget, cancel.clone()).with_observer(obs);
-        let cache = ImplicationCache::for_schema(ds);
-        let sp = SchemaPlan::for_schema(ds);
-        return audit_planned_from(ds, &mut gov, Some(cache.begin_session()), &sp, facts);
-    }
-    let g = ds.hierarchy();
-    let fp = implication::schema_fingerprint(ds);
-    let solver = Dimsat::new(ds).with_observer(obs.clone());
-    let shared = SharedGovernor::new(budget, cancel.clone()).with_observer(obs.clone());
-    let exposed = odc_plan::overflow_exposed(g);
-    let hits_before = facts.hits();
-    let mut plan = PlanStats::default();
-    let batched = AtomicU64::new(0);
-    let mut report = blank_report();
-    let mut decided = SearchStats::default();
-
-    // Stage 1: planned sweep, workers pulling from the plan's cursor.
-    plan.queries += g.categories().filter(|c| !c.is_all()).count() as u64;
-    let sweep = solver.unsatisfiable_categories_planned_sharded(&shared, jobs, facts);
-    report.unsatisfiable = sweep.unsat.clone();
-    report.undecided_categories = sweep.undecided.clone();
-    report.aborted_categories = sweep.aborted.clone();
-    report.stats.absorb(&sweep.stats);
-    decided.absorb(&sweep.stats);
-    if let Some(i) = sweep.interrupted {
-        report.interrupted = Some(i);
-        report.checkpoint = Some(AuditCheckpoint {
-            fingerprint: fp,
-            stage: AuditStage::Sweep,
-            next: 0,
-            stats: SearchStats::default(),
-            unsatisfiable: Vec::new(),
-            aborted: Vec::new(),
-            redundant: Vec::new(),
-            census: Vec::new(),
-            rewrites: Vec::new(),
-            sweep: solver.sweep_checkpoint(&sweep),
-        });
-        emit_audit_plan(&obs, plan, facts, hits_before);
-        return report;
-    }
-
-    // Stage 2: redundancy striped over the *planned* order.
-    let constraints = ds.constraints();
-    let rplan = odc_plan::plan_battery(ds, constraints);
-    plan.queries += rplan.stats.queries;
-    plan.deduped += rplan.stats.deduped;
-    plan.reordered += rplan.stats.reordered;
-    let (res, intr) = run_striped(&shared, jobs, rplan.order.len(), "redundancy", |k, gov| {
-        let i = rplan.order[k];
-        let dc = &constraints[i];
-        let mut rest: Vec<DimensionConstraint> = constraints.to_vec();
-        rest.remove(i);
-        let reduced = DimensionSchema::new(ds.hierarchy_arc(), rest);
-        let out = implication::implies_governed(&reduced, dc, DimsatOptions::default(), gov);
-        match out.interrupt() {
-            Some(e) => Err(e),
-            None => Ok((out.implied(), out.stats.clone())),
-        }
-    });
-    let mut verdicts: Vec<Option<(bool, SearchStats)>> = vec![None; constraints.len()];
-    for (k, (implied, stats)) in res {
-        verdicts[rplan.order[k]] = Some((implied, stats));
-    }
-    for i in 0..constraints.len() {
-        if let Some(j) = rplan.alias_of[i] {
-            if let Some((implied, _)) = verdicts[j] {
-                verdicts[i] = Some((implied, SearchStats::default()));
-            }
-        }
-    }
-    let next = (0..constraints.len()).find(|&i| verdicts[i].is_none());
-    for (i, v) in verdicts.iter().enumerate() {
-        if let Some((implied, ref stats)) = *v {
-            report.stats.absorb(stats);
-            if next.is_none_or(|nx| i < nx) {
-                decided.absorb(stats);
-            }
-            if implied {
-                report.redundant_constraints.push(i);
-            }
-        }
-    }
-    if let Some((_, e)) = intr {
-        let nx = next.unwrap_or(constraints.len());
-        report.interrupted = Some(e);
-        report.checkpoint = Some(AuditCheckpoint {
-            fingerprint: fp,
-            stage: AuditStage::Redundancy,
-            next: nx,
-            stats: decided,
-            unsatisfiable: report.unsatisfiable.clone(),
-            aborted: report.aborted_categories.clone(),
-            redundant: report
-                .redundant_constraints
-                .iter()
-                .copied()
-                .filter(|&i| i < nx)
-                .collect(),
-            census: Vec::new(),
-            rewrites: Vec::new(),
-            sweep: None,
-        });
-        emit_audit_plan(&obs, plan, facts, hits_before);
-        return report;
-    }
-
-    // Stage 3: census with witness pools, striped over bottoms.
-    let bottoms: Vec<Category> = g
-        .bottom_categories()
-        .into_iter()
-        .filter(|c| !c.is_all())
-        .collect();
-    plan.queries += bottoms.len() as u64;
-    let (res, intr) = run_striped(
-        &shared,
+    run: Run<'_, AuditCheckpoint>,
+) -> Result<SchemaReport, CheckpointError> {
+    let Run {
+        gov,
         jobs,
-        bottoms.len(),
-        "structure_census",
-        |k, gov| {
-            let c = bottoms[k];
-            if !exposed.contains(c) && facts.known_unsat(c) {
-                facts.record_hit();
-                return Ok((Vec::new(), SearchStats::default(), true));
+        plan,
+        session,
+        schema_plan,
+        facts,
+        resume,
+    } = run;
+    let local_plan;
+    let sp = match (plan, schema_plan) {
+        (false, _) => None,
+        (true, Some(sp)) => Some(sp),
+        (true, None) => {
+            local_plan = SchemaPlan::for_schema(ds);
+            Some(&local_plan)
+        }
+    };
+    let local_facts;
+    let facts = match (plan, facts) {
+        (false, _) => None,
+        (true, Some(f)) => Some(f),
+        (true, None) => {
+            local_facts = SharedFacts::new(ds.hierarchy().num_categories());
+            Some(&local_facts)
+        }
+    };
+    let hits_before = facts.map(SharedFacts::hits);
+    let mut audit = Audit {
+        ds,
+        solver: Dimsat::new(ds),
+        jobs,
+        sp,
+        facts,
+        session,
+        batched: AtomicU64::new(0),
+        plan: PlanStats::default(),
+        report: SchemaReport::default(),
+        decided: SearchStats::default(),
+    };
+    if let Some(cp) = resume {
+        audit.seed(cp);
+    }
+    let stages = audit.run(gov, resume);
+    if let (Some(f), Some(before)) = (facts, hits_before) {
+        // Fact hits are tallied from the shared scratchpad (the sweep,
+        // census, and rewrites shortcuts all record into it), batched
+        // answers from the pool evaluation counter.
+        let p = audit.plan;
+        gov.obs().plan(&PlanEvent {
+            battery: "schema_audit",
+            queries: p.queries,
+            deduped: p.deduped,
+            reordered: p.reordered,
+            fact_hits: f.hits().saturating_sub(before),
+            batched: audit.batched.load(Ordering::Relaxed),
+        });
+    }
+    stages?;
+    Ok(audit.report)
+}
+
+/// One audit stage item as a worker returns it: the finding (`None`
+/// when the item was interrupted) and the counters it cost.
+type Item<F> = (Option<F>, SearchStats);
+
+/// The state of one audit run.
+struct Audit<'a> {
+    ds: &'a DimensionSchema,
+    solver: Dimsat<'a>,
+    jobs: usize,
+    /// The schema's plan; `Some` exactly when the run is planned.
+    sp: Option<&'a SchemaPlan>,
+    /// The shared facts; `Some` exactly when the run is planned.
+    facts: Option<&'a SharedFacts>,
+    session: Option<CacheSession<'a>>,
+    /// Rewrite-matrix answers taken from the census pools.
+    batched: AtomicU64,
+    plan: PlanStats,
+    report: SchemaReport,
+    /// Counters of fully decided items only: what a checkpoint carries,
+    /// so interrupted-plus-resumed totals equal an uninterrupted run's.
+    decided: SearchStats,
+}
+
+impl Audit<'_> {
+    /// Seeds the report with a checkpoint's findings.
+    fn seed(&mut self, cp: &AuditCheckpoint) {
+        let r = &mut self.report;
+        r.unsatisfiable = cp.unsatisfiable.clone();
+        r.aborted_categories = cp.aborted.clone();
+        r.redundant_constraints = cp.redundant.clone();
+        r.structure_census = cp.census.clone();
+        r.safe_rewrites = cp.rewrites.clone();
+        r.stats = cp.stats.clone();
+        self.decided = cp.stats.clone();
+        // Proved-unsatisfiable categories keep deciding the later
+        // stages' shortcuts.
+        if let Some(f) = self.facts {
+            for &c in &cp.unsatisfiable {
+                f.note_unsat(c);
+            }
+        }
+    }
+
+    /// The stages from the resume point on; stops at the first interrupt.
+    fn run(
+        &mut self,
+        gov: &mut Governor,
+        resume: Option<&AuditCheckpoint>,
+    ) -> Result<(), CheckpointError> {
+        let (start, next) = resume.map_or((AuditStage::Sweep, 0), |cp| (cp.stage, cp.next));
+        let first = |stage: AuditStage| if stage == start { next } else { 0 };
+        let sweep_cursor = resume.and_then(|cp| cp.sweep.as_ref());
+        if start == AuditStage::Sweep && !self.sweep(gov, sweep_cursor)? {
+            return Ok(());
+        }
+        if start <= AuditStage::Redundancy && !self.redundancy(gov, first(AuditStage::Redundancy)) {
+            return Ok(());
+        }
+        let mut pools = WitnessPools::new();
+        if start <= AuditStage::Census && !self.census(gov, first(AuditStage::Census), &mut pools) {
+            return Ok(());
+        }
+        self.rewrites(gov, first(AuditStage::Rewrites), &pools);
+        Ok(())
+    }
+
+    /// Stage 1: the unsatisfiable-category sweep. Returns whether the
+    /// audit goes on.
+    fn sweep(
+        &mut self,
+        gov: &mut Governor,
+        resume: Option<&SweepCheckpoint>,
+    ) -> Result<bool, CheckpointError> {
+        if self.sp.is_some() {
+            let cats = self.ds.hierarchy().categories().filter(|c| !c.is_all());
+            self.plan.queries += cats.count() as u64;
+        }
+        let sweep = self.solver.unsatisfiable_categories_run(Run {
+            gov,
+            jobs: self.jobs,
+            plan: self.sp.is_some(),
+            session: None,
+            schema_plan: self.sp,
+            facts: self.facts,
+            resume,
+        })?;
+        self.report.stats.absorb(&sweep.stats);
+        self.decided.absorb(&sweep.stats);
+        let cursor = self.solver.sweep_checkpoint(&sweep);
+        self.report.unsatisfiable = sweep.unsat;
+        self.report.undecided_categories = sweep.undecided;
+        self.report.aborted_categories = sweep.aborted;
+        match sweep.interrupted {
+            Some(i) => {
+                self.interrupt(AuditStage::Sweep, 0, i, cursor);
+                Ok(false)
+            }
+            None => Ok(true),
+        }
+    }
+
+    /// Stage 2: a constraint σ is redundant iff (G, Σ \ {σ}) ⊨ σ.
+    /// Planned, only execution is reordered; verdicts are reported (and
+    /// checkpointed) in constraint order. σ_i ≡ σ_j after normalization
+    /// ⇒ the two reduced schemas are logically equivalent, so an alias
+    /// copies its canonical's verdict once that is decided.
+    fn redundancy(&mut self, gov: &mut Governor, first: usize) -> bool {
+        let ds = self.ds;
+        let cs = ds.constraints();
+        let plan = self.sp.map(|sp| &sp.battery);
+        let redundant = |i: usize, gov: &mut Governor| {
+            let mut rest: Vec<DimensionConstraint> = cs.to_vec();
+            rest.remove(i);
+            let reduced = DimensionSchema::new(ds.hierarchy_arc(), rest);
+            let opts = DimsatOptions::default();
+            let out = implication::implies_governed(&reduced, &cs[i], opts, gov);
+            let flow = out.interrupt().map_or(Flow::Next, Flow::Stop);
+            ((out.interrupt().is_none().then(|| out.implied()), out.stats), flow)
+        };
+        let (jobs, n) = (self.jobs, cs.len());
+        let mut ran = match plan {
+            Some(p) => {
+                self.plan.queries += p.stats.queries;
+                self.plan.deduped += p.stats.deduped;
+                self.plan.reordered += p.stats.reordered;
+                let order = p.order.iter().copied().filter(move |&i| i >= first);
+                run_items(gov, jobs, n, order, "redundancy", redundant)
+            }
+            None => run_items(gov, jobs, n, first..n, "redundancy", redundant),
+        };
+        if let Some(p) = plan {
+            for k in first..cs.len() {
+                let Some(j) = p.alias_of[k] else { continue };
+                let canonical = if j < first {
+                    Some(self.report.redundant_constraints.contains(&j))
+                } else {
+                    ran.items[j].as_ref().and_then(|(v, _)| *v)
+                };
+                if canonical.is_some() {
+                    ran.items[k] = Some((canonical, SearchStats::default()));
+                }
+            }
+        }
+        for (k, item) in ran.items.iter().enumerate() {
+            if matches!(item, Some((Some(true), _))) {
+                self.report.redundant_constraints.push(k);
+            }
+        }
+        self.close(AuditStage::Redundancy, &ran.items, first, ran.interrupt)
+    }
+
+    /// Stage 3: the per-bottom structure census. Planned, it doubles as
+    /// witness-pool construction, and a bottom the sweep proved
+    /// unsatisfiable has zero frozen dimensions by definition — its
+    /// census entry (and empty pool) is free.
+    fn census(&mut self, gov: &mut Governor, first: usize, pools: &mut WitnessPools) -> bool {
+        let bottoms = bottom_categories(self.ds.hierarchy());
+        let (solver, sp, facts) = (&self.solver, self.sp, self.facts);
+        if sp.is_some() {
+            self.plan.queries += bottoms.len() as u64;
+        }
+        let n = bottoms.len();
+        let mut ran = run_items(gov, self.jobs, n, first..n, "structure_census", |i, gov| {
+            let c = bottoms[i];
+            if let (Some(sp), Some(f)) = (sp, facts) {
+                if !sp.exposed.contains(c) && f.known_unsat(c) {
+                    f.record_hit();
+                    return ((Some(Vec::new()), SearchStats::default()), Flow::Next);
+                }
             }
             let (frozen, out) = solver.enumerate_frozen_governed(c, gov);
-            match out.interrupted {
-                Some(e) => Err(e),
-                None => Ok((frozen, out.stats.clone(), false)),
+            if let Some(e) = out.interrupted {
+                return ((None, out.stats), Flow::Stop(e));
             }
-        },
-    );
-    let next = intr.as_ref().map(|&(k, _)| k);
-    let mut pools: WitnessPools = HashMap::new();
-    for (k, (frozen, stats, from_facts)) in res {
-        report.stats.absorb(&stats);
-        if next.is_none_or(|nx| k < nx) {
-            decided.absorb(&stats);
-        }
-        let c = bottoms[k];
-        report.structure_census.push((c, frozen.len()));
-        if frozen.is_empty() && !from_facts {
-            facts.note_unsat(c);
-        }
-        pools.insert(c, frozen);
-    }
-    report.structure_census.sort_by_key(|&(c, _)| {
-        bottoms.iter().position(|&b| b == c).unwrap_or(usize::MAX)
-    });
-    if let Some((k, e)) = intr {
-        report.interrupted = Some(e);
-        report.checkpoint = Some(AuditCheckpoint {
-            fingerprint: fp,
-            stage: AuditStage::Census,
-            next: k,
-            stats: decided,
-            unsatisfiable: report.unsatisfiable.clone(),
-            aborted: report.aborted_categories.clone(),
-            redundant: report.redundant_constraints.clone(),
-            census: report
-                .structure_census
-                .iter()
-                .filter(|&&(c, _)| bottoms.iter().position(|&b| b == c).is_some_and(|i| i < k))
-                .copied()
-                .collect(),
-            rewrites: Vec::new(),
-            sweep: None,
+            if let Some(f) = facts {
+                if frozen.is_empty() {
+                    f.note_unsat(c);
+                }
+            }
+            ((Some(frozen), out.stats), Flow::Next)
         });
-        emit_audit_plan(&obs, plan, facts, hits_before);
-        return report;
+        for (k, item) in ran.items.iter_mut().enumerate() {
+            if let Some((Some(frozen), _)) = item {
+                self.report.structure_census.push((bottoms[k], frozen.len()));
+                if sp.is_some() {
+                    pools.insert(bottoms[k], std::mem::take(frozen));
+                }
+            }
+        }
+        self.close(AuditStage::Census, &ran.items, first, ran.interrupt)
     }
 
-    // Stage 4: the rewrites matrix striped over pairs, answered from the
-    // pools with a shared memo-cache behind the solver fallback.
-    let pairs = rewrite_pairs(g);
-    plan.queries += (pairs.len() * bottoms.len()) as u64;
-    let cache = ImplicationCache::for_schema(ds);
-    let session = cache.begin_session();
-    let pools = &pools;
-    let exposed = &exposed;
-    let batched_ref = &batched;
-    let (res, intr) = run_striped(
-        &shared,
-        jobs,
-        pairs.len(),
-        "summarizability_matrix",
-        |k, gov| {
-            let (coarse, fine) = pairs[k];
-            let out = planned_pair_battery(
-                ds,
-                coarse,
-                fine,
-                gov,
-                Some(session),
-                facts,
-                pools,
-                exposed,
-                batched_ref,
-            );
-            match out.interrupt() {
-                Some(e) => Err(e),
-                None => Ok((out.summarizable(), out.stats.clone())),
+    /// Stage 4: safe single-view rewrites coarse ← {fine}, one Theorem-1
+    /// battery per pair (see [`rewrite_pairs`]). Planned, each battery
+    /// answers from the shared facts and census pools where soundness
+    /// allows; its verdict matches the unplanned battery's.
+    fn rewrites(&mut self, gov: &mut Governor, first: usize, pools: &WitnessPools) {
+        let g = self.ds.hierarchy();
+        let pairs = rewrite_pairs(g);
+        let shortcuts = match (self.sp, self.facts) {
+            (Some(sp), Some(facts)) => {
+                self.plan.queries += (pairs.len() * bottom_categories(g).len()) as u64;
+                Some(Shortcuts {
+                    facts,
+                    pools,
+                    exposed: &sp.exposed,
+                    batched: &self.batched,
+                })
             }
-        },
-    );
-    let next = intr.as_ref().map(|&(k, _)| k);
-    for &(k, (safe, ref stats)) in &res {
-        report.stats.absorb(stats);
-        if next.is_none_or(|nx| k < nx) {
-            decided.absorb(stats);
+            _ => None,
+        };
+        let (ds, session) = (self.ds, self.session);
+        let n = pairs.len();
+        let ran = run_items(gov, self.jobs, n, first..n, "summarizability_matrix", |i, gov| {
+            let (coarse, fine) = pairs[i];
+            let constraints = summarizability_constraints(g, coarse, &[fine]);
+            let battery = Battery {
+                ds,
+                constraints: &constraints,
+                opts: DimsatOptions::default(),
+                session,
+                plan: None,
+                shortcuts: shortcuts.as_ref(),
+            };
+            // Pair granularity: the audit checkpoints whole batteries.
+            let (out, _) = battery.run(gov, 1, 0, SearchStats::default());
+            let flow = out.interrupt().map_or(Flow::Next, Flow::Stop);
+            ((out.interrupt().is_none().then(|| out.summarizable()), out.stats), flow)
+        });
+        for (k, item) in ran.items.iter().enumerate() {
+            if matches!(item, Some((Some(true), _))) {
+                self.report.safe_rewrites.push(pairs[k]);
+            }
         }
-        if safe {
-            report.safe_rewrites.push(pairs[k]);
+        self.close(AuditStage::Rewrites, &ran.items, first, ran.interrupt);
+    }
+
+    /// Closes a stage whose findings are in the report: every run item's
+    /// counters go into the report, the decided prefix's into `decided`,
+    /// and an interrupt is recorded with the checkpoint of the first
+    /// undecided item at or after `first`. Returns whether the audit goes
+    /// on.
+    fn close<F>(
+        &mut self,
+        stage: AuditStage,
+        items: &[Option<Item<F>>],
+        first: usize,
+        interrupt: Option<(usize, Interrupt)>,
+    ) -> bool {
+        let decided = |k: usize| matches!(items[k], Some((Some(_), _)));
+        let next = (first..items.len()).find(|&k| !decided(k)).unwrap_or(items.len());
+        for (k, item) in items.iter().enumerate() {
+            if let Some((_, stats)) = item {
+                self.report.stats.absorb(stats);
+                if k < next {
+                    self.decided.absorb(stats);
+                }
+            }
+        }
+        match interrupt {
+            Some((_, e)) => {
+                self.interrupt(stage, next, e, None);
+                false
+            }
+            None => true,
         }
     }
-    if let Some((k, e)) = intr {
-        report.interrupted = Some(e);
-        report.checkpoint = Some(AuditCheckpoint {
-            fingerprint: fp,
-            stage: AuditStage::Rewrites,
-            next: k,
-            stats: decided,
-            unsatisfiable: report.unsatisfiable.clone(),
-            aborted: report.aborted_categories.clone(),
-            redundant: report.redundant_constraints.clone(),
-            census: report.structure_census.clone(),
-            rewrites: report
+
+    /// Records an interrupt in `stage` with the audit's decided-prefix
+    /// checkpoint: earlier stages' findings in full, this stage's items
+    /// before `next` (results other workers proved beyond it re-run on
+    /// resume, keeping merged totals identical to a clean run), later
+    /// stages empty.
+    fn interrupt(
+        &mut self,
+        stage: AuditStage,
+        next: usize,
+        intr: Interrupt,
+        sweep: Option<SweepCheckpoint>,
+    ) {
+        let r = &self.report;
+        let done = |s: AuditStage| s < stage;
+        let pairs = if stage == AuditStage::Rewrites {
+            rewrite_pairs(self.ds.hierarchy())
+        } else {
+            Vec::new()
+        };
+        let checkpoint = AuditCheckpoint {
+            fingerprint: implication::schema_fingerprint(self.ds),
+            stage,
+            next,
+            // The sweep's partial counters live inside its own embedded
+            // cursor; the audit-level record starts empty so resume does
+            // not double-count them.
+            stats: if done(AuditStage::Sweep) {
+                self.decided.clone()
+            } else {
+                SearchStats::default()
+            },
+            unsatisfiable: if done(AuditStage::Sweep) {
+                r.unsatisfiable.clone()
+            } else {
+                Vec::new()
+            },
+            aborted: if done(AuditStage::Sweep) {
+                r.aborted_categories.clone()
+            } else {
+                Vec::new()
+            },
+            redundant: r
+                .redundant_constraints
+                .iter()
+                .copied()
+                .filter(|&i| {
+                    done(AuditStage::Redundancy) || (stage == AuditStage::Redundancy && i < next)
+                })
+                .collect(),
+            census: match stage {
+                AuditStage::Census => r.structure_census.iter().copied().take(next).collect(),
+                _ if done(AuditStage::Census) => r.structure_census.clone(),
+                _ => Vec::new(),
+            },
+            rewrites: r
                 .safe_rewrites
                 .iter()
-                .filter(|&&p| pairs.iter().position(|&q| q == p).is_some_and(|i| i < k))
                 .copied()
+                .filter(|p| pairs.iter().take(next).any(|q| q == p))
                 .collect(),
-            sweep: None,
-        });
+            sweep,
+        };
+        self.report.interrupted = Some(intr);
+        self.report.checkpoint = Some(checkpoint);
     }
-    plan.batched += batched.load(Ordering::Relaxed);
-    emit_audit_plan(&obs, plan, facts, hits_before);
-    report
+}
+
+/// The bottom categories the census and the Theorem-1 batteries range
+/// over.
+fn bottom_categories(g: &HierarchySchema) -> Vec<Category> {
+    g.bottom_categories()
+        .into_iter()
+        .filter(|c| !c.is_all())
+        .collect()
 }
 
 /// Suggests a minimal constraint tightening: for each bottom category and
@@ -1442,8 +707,13 @@ pub fn suggest_into_constraints(ds: &DimensionSchema) -> Vec<DimensionConstraint
 mod tests {
     use super::*;
     use odc_constraint::parse_constraint;
-    use odc_hierarchy::HierarchySchema;
+    use odc_govern::{Budget, CancelToken};
     use std::sync::Arc;
+
+    /// The audit on a caller's governor.
+    fn audit_on(ds: &DimensionSchema, gov: &mut Governor) -> SchemaReport {
+        audit_run(ds, Run::new(gov)).expect("nothing to resume")
+    }
 
     fn location_sch() -> DimensionSchema {
         let mut b = HierarchySchema::builder();
@@ -1548,7 +818,6 @@ mod tests {
 
     #[test]
     fn parallel_audit_matches_serial() {
-        use odc_govern::{Budget, CancelToken};
         let ds = location_sch();
         let serial = audit(&ds);
         for jobs in [1, 2, 4] {
@@ -1566,7 +835,6 @@ mod tests {
 
     #[test]
     fn interrupted_audit_reports_undecided_categories() {
-        use odc_govern::{Budget, CancelToken};
         let ds = location_sch();
         // Walk the node budget up until the sweep gets past at least one
         // category but not all of them; the report must name the rest.
@@ -1576,7 +844,7 @@ mod tests {
                 Budget::unlimited().with_node_limit(limit),
                 CancelToken::new(),
             );
-            let report = audit_governed(&ds, &mut gov);
+            let report = audit_on(&ds, &mut gov);
             if report.interrupted.is_none() {
                 break;
             }
@@ -1625,7 +893,6 @@ mod tests {
     #[test]
     fn audit_resume_merges_to_uninterrupted_report() {
         use crate::checkpoint::load_audit_checkpoint;
-        use odc_govern::{Budget, CancelToken};
         let ds = location_sch();
         let clean = audit(&ds);
         let mut stages_seen = std::collections::BTreeSet::new();
@@ -1637,7 +904,7 @@ mod tests {
                 Budget::unlimited().with_node_limit(limit),
                 CancelToken::new(),
             );
-            let partial = audit_governed(&ds, &mut gov);
+            let partial = audit_on(&ds, &mut gov);
             let Some(cp) = partial.checkpoint else {
                 assert!(partial.interrupted.is_none());
                 continue;
@@ -1646,7 +913,8 @@ mod tests {
             // Through the text form, like a real restart would.
             let cp = load_audit_checkpoint(&ds, &cp.to_text()).expect("roundtrip");
             let mut gov = Governor::unlimited();
-            let merged = audit_resume(&ds, &cp, &mut gov).expect("same schema resumes");
+            let merged = audit_run(&ds, Run::new(&mut gov).resume(Some(&cp)))
+                .expect("same schema resumes");
             assert!(merged.interrupted.is_none(), "limit={limit}");
             assert_eq!(merged.unsatisfiable, clean.unsatisfiable, "limit={limit}");
             assert_eq!(
@@ -1668,7 +936,6 @@ mod tests {
 
     #[test]
     fn parallel_audit_resume_matches_clean_verdicts() {
-        use odc_govern::{Budget, CancelToken};
         let ds = location_sch();
         let clean = audit(&ds);
         let mut resumed_any = false;
@@ -1682,15 +949,9 @@ mod tests {
             let Some(cp) = partial.checkpoint else {
                 continue;
             };
-            let merged = audit_resume_parallel(
-                &ds,
-                &cp,
-                Budget::unlimited(),
-                &CancelToken::new(),
-                4,
-                Obs::none(),
-            )
-            .expect("same schema resumes");
+            let mut gov = Governor::unlimited();
+            let merged = audit_run(&ds, Run::new(&mut gov).jobs(4).resume(Some(&cp)))
+                .expect("same schema resumes");
             assert!(merged.interrupted.is_none(), "limit={limit}");
             assert_eq!(merged.unsatisfiable, clean.unsatisfiable);
             assert_eq!(merged.redundant_constraints, clean.redundant_constraints);
@@ -1703,19 +964,18 @@ mod tests {
 
     #[test]
     fn audit_resume_refuses_other_schema() {
-        use odc_govern::{Budget, CancelToken};
         let ds = location_sch();
         let mut gov = Governor::new(
             Budget::unlimited().with_node_limit(50),
             CancelToken::new(),
         );
-        let partial = audit_governed(&ds, &mut gov);
+        let partial = audit_on(&ds, &mut gov);
         let cp = partial.checkpoint.expect("tiny budget interrupts");
         let g = ds.hierarchy();
         let ds2 = ds.with_constraint(parse_constraint(g, "!SaleRegion_Country").unwrap());
         let mut gov = Governor::unlimited();
         assert!(matches!(
-            audit_resume(&ds2, &cp, &mut gov),
+            audit_run(&ds2, Run::new(&mut gov).resume(Some(&cp))),
             Err(CheckpointError::FingerprintMismatch { .. })
         ));
     }
@@ -1742,12 +1002,12 @@ mod tests {
 
     #[test]
     fn planned_parallel_audit_matches_unplanned() {
-        use odc_govern::{Budget, CancelToken};
         let ds = location_sch();
         let serial = audit(&ds);
         for jobs in [1, 2, 4] {
-            let par =
-                audit_planned_parallel(&ds, Budget::unlimited(), &CancelToken::new(), jobs);
+            let mut gov = Governor::unlimited();
+            let par = audit_run(&ds, Run::new(&mut gov).jobs(jobs).planned(true))
+                .expect("nothing to resume");
             assert_eq!(par.render(&ds), serial.render(&ds), "jobs={jobs}");
             assert!(par.interrupted.is_none());
         }
@@ -1767,7 +1027,6 @@ mod tests {
     #[test]
     fn planned_audit_checkpoint_resumes_on_unplanned_path() {
         use crate::checkpoint::load_audit_checkpoint;
-        use odc_govern::{Budget, CancelToken};
         let ds = location_sch();
         let clean = audit(&ds);
         let mut resumed_any = false;
@@ -1783,7 +1042,8 @@ mod tests {
             };
             let cp = load_audit_checkpoint(&ds, &cp.to_text()).expect("roundtrip");
             let mut gov = Governor::unlimited();
-            let merged = audit_resume(&ds, &cp, &mut gov).expect("same schema resumes");
+            let merged = audit_run(&ds, Run::new(&mut gov).resume(Some(&cp)))
+                .expect("same schema resumes");
             assert!(merged.interrupted.is_none(), "limit={limit}");
             assert_eq!(merged.unsatisfiable, clean.unsatisfiable, "limit={limit}");
             assert_eq!(
@@ -1808,10 +1068,12 @@ mod tests {
         let ds = location_sch();
         let cache = ImplicationCache::for_schema(&ds);
         let mut gov = Governor::unlimited();
-        let first = audit_governed_memo(&ds, &mut gov, &cache);
+        let first = audit_run(&ds, Run::new(&mut gov).session(cache.begin_session()))
+            .expect("nothing to resume");
         assert!(first.interrupted.is_none());
         let mut gov = Governor::unlimited();
-        let second = audit_governed_memo(&ds, &mut gov, &cache);
+        let second = audit_run(&ds, Run::new(&mut gov).session(cache.begin_session()))
+            .expect("nothing to resume");
         assert!(
             second.stats.cache_hits > 0,
             "second audit through the same cache must reuse memoized implications"

@@ -40,9 +40,7 @@ pub mod theorem1;
 pub use checkpoint::{AuditCheckpoint, AuditStage, BatteryCheckpoint};
 pub use instance_check::is_summarizable_in_instance;
 pub use theorem1::{
-    decide_from_pool, is_summarizable_in_schema, is_summarizable_in_schema_governed,
-    is_summarizable_in_schema_memo, is_summarizable_in_schema_parallel,
-    is_summarizable_in_schema_parallel_observed, is_summarizable_in_schema_planned,
-    is_summarizable_in_schema_session, resume_summarizability, summarizability_constraints,
-    SummarizabilityOutcome, SummarizabilityVerdict,
+    decide_from_pool, is_summarizable_in_schema, is_summarizable_in_schema_run,
+    is_summarizable_in_schema_session, summarizability_constraints, SummarizabilityOutcome,
+    SummarizabilityVerdict,
 };

@@ -3,7 +3,7 @@
 //! summarizability guarantees the rewriting is correct in *every*
 //! instance of the schema.
 
-use crate::theorem1::is_summarizable_in_schema_memo;
+use crate::theorem1::is_summarizable_in_schema_session;
 use odc_constraint::DimensionSchema;
 use odc_dimsat::{DimsatOptions, ImplicationCache};
 use odc_govern::Governor;
@@ -81,8 +81,14 @@ pub fn find_rewrites_memo(
             if found.iter().any(|sol| sol.iter().all(|c| s.contains(c))) {
                 continue;
             }
-            let out =
-                is_summarizable_in_schema_memo(ds, target, &s, DimsatOptions::default(), gov, cache);
+            let out = is_summarizable_in_schema_session(
+                ds,
+                target,
+                &s,
+                DimsatOptions::default(),
+                gov,
+                cache.begin_session(),
+            );
             if out.is_unknown() {
                 break;
             }

@@ -1,16 +1,28 @@
 //! The Theorem-1 constraint construction and the schema-level
 //! summarizability test.
+//!
+//! Theorem 1 reduces "`c` is summarizable from `S`" to one implication
+//! per bottom category; Theorem 2 decides each with DIMSAT.
+//! [`is_summarizable_in_schema_run`] is the battery's one driver: one
+//! loop over the constraints through [`odc_govern::run_items`], under a
+//! [`Run`] that picks serial or parallel, unplanned or planned, a
+//! memo-cache session and a checkpoint to resume. The advisor's rewrite
+//! matrix runs the same loop per pair, with its census shortcuts.
+//! [`is_summarizable_in_schema`] is the paper-level call and
+//! [`is_summarizable_in_schema_session`] a one-line wrapper for callers
+//! holding a warm cache.
 
 use crate::checkpoint::BatteryCheckpoint;
 use odc_constraint::{expand, Constraint, DimensionConstraint, DimensionSchema};
 use odc_dimsat::checkpoint::options_key;
-use odc_dimsat::{
-    implication, CacheSession, DimsatOptions, ImplicationCache, ImplicationVerdict, SearchStats,
-};
+use odc_dimsat::{implication, CacheSession, DimsatOptions, ImplicationVerdict, Run, SearchStats};
 use odc_frozen::FrozenDimension;
-use odc_govern::{Budget, CancelToken, CheckpointError, Governor, Interrupt, SharedGovernor};
-use odc_hierarchy::{Category, HierarchySchema};
-use odc_obs::{Obs, WorkerStats};
+use odc_govern::{run_items, CheckpointError, Flow, Governor, Interrupt};
+use odc_hierarchy::{CatSet, Category, HierarchySchema};
+use odc_obs::PlanEvent;
+use odc_plan::{QueryPlan, SharedFacts};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Builds the Theorem-1 constraints for "`c` is summarizable from `S`":
 /// one constraint `c_b.c ⊃ ⊙_{ci∈S} c_b.ci.c` per bottom category `c_b`
@@ -63,7 +75,7 @@ pub struct SummarizabilityOutcome {
     /// (populated even on interrupted runs).
     pub stats: SearchStats,
     /// On an interrupted battery: the constraint-granular cursor to
-    /// resume from ([`crate::resume_summarizability`]). Its stats cover
+    /// resume from ([`is_summarizable_in_schema_run`] with `Run::resume`). Its stats cover
     /// the *decided* constraints only, so an interrupted-plus-resumed
     /// battery's totals match an uninterrupted one's.
     pub checkpoint: Option<BatteryCheckpoint>,
@@ -104,52 +116,15 @@ pub fn is_summarizable_in_schema(
     c: Category,
     s: &[Category],
 ) -> SummarizabilityOutcome {
-    is_summarizable_in_schema_with(ds, c, s, DimsatOptions::default())
-}
-
-/// [`is_summarizable_in_schema`] with explicit DIMSAT options (used by the
-/// ablation benchmarks).
-pub fn is_summarizable_in_schema_with(
-    ds: &DimensionSchema,
-    c: Category,
-    s: &[Category],
-    opts: DimsatOptions,
-) -> SummarizabilityOutcome {
     let mut gov = Governor::unlimited();
-    is_summarizable_in_schema_governed(ds, c, s, opts, &mut gov)
+    drive(ds, c, s, DimsatOptions::default(), Run::new(&mut gov))
 }
 
-/// [`is_summarizable_in_schema`] under a caller-supplied [`Governor`]:
-/// the whole Theorem-1 battery (one implication query per bottom
-/// category) draws from one shared budget.
-pub fn is_summarizable_in_schema_governed(
-    ds: &DimensionSchema,
-    c: Category,
-    s: &[Category],
-    opts: DimsatOptions,
-    gov: &mut Governor,
-) -> SummarizabilityOutcome {
-    battery_governed(ds, c, s, opts, gov, None)
-}
-
-/// [`is_summarizable_in_schema_governed`] through an implication
-/// memo-cache: queries already answered for this schema (by any worker
-/// or any earlier battery sharing the cache) are served without a search.
-pub fn is_summarizable_in_schema_memo(
-    ds: &DimensionSchema,
-    c: Category,
-    s: &[Category],
-    opts: DimsatOptions,
-    gov: &mut Governor,
-    cache: &ImplicationCache,
-) -> SummarizabilityOutcome {
-    is_summarizable_in_schema_session(ds, c, s, opts, gov, cache.begin_session())
-}
-
-/// [`is_summarizable_in_schema_memo`] under a caller-owned
-/// [`CacheSession`]: the whole battery shares the session, so reuse
-/// *within* this battery is a plain hit while reuse of entries an earlier
-/// session stored (a warm server catalog) counts as a cross-session hit.
+/// [`is_summarizable_in_schema`] on a caller's governor, through a
+/// caller-owned [`CacheSession`]: the whole battery shares the session,
+/// so reuse *within* this battery is a plain hit while reuse of entries
+/// an earlier session stored (a warm server catalog) counts as a
+/// cross-session hit.
 pub fn is_summarizable_in_schema_session(
     ds: &DimensionSchema,
     c: Category,
@@ -158,119 +133,278 @@ pub fn is_summarizable_in_schema_session(
     gov: &mut Governor,
     session: CacheSession<'_>,
 ) -> SummarizabilityOutcome {
-    battery_governed(ds, c, s, opts, gov, Some(session))
+    drive(ds, c, s, opts, Run::new(gov).session(session))
 }
 
-/// Resumes an interrupted Theorem-1 battery from its checkpoint: the
-/// constraints before `cp.next` are taken as proved (their counters are
-/// seeded from the checkpoint), and the battery continues from the first
-/// undecided one. Refuses a checkpoint whose schema fingerprint or
-/// DIMSAT options differ from the ones supplied.
-pub fn resume_summarizability(
+/// The Theorem-1 battery's one driver: one implication query per bottom
+/// category, all under `run`.
+///
+/// * Unplanned, the constraints run in bottom-category order.
+/// * Planned, [`odc_plan::plan_battery`] normalizes, dedups and
+///   cost-orders them first, so cheap refutations come first and
+///   structurally identical queries are solved once; the battery emits
+///   one `theorem1_battery` plan event.
+/// * With `run.jobs > 1` the constraints are split across workers under
+///   one shared budget, with first-countermodel cancellation: as soon as
+///   any worker refutes its constraint the others stop (the caller's
+///   token is never flipped).
+///
+/// The yes/no verdict is the same in every mode under a sufficient
+/// budget. A countermodel is a proof, so it wins over another worker's
+/// interrupt; when several bottoms fail, a planned or parallel run
+/// reports the lowest-indexed one it *found*, which may differ from the
+/// first in bottom order. An interrupted battery carries a
+/// decided-prefix [`BatteryCheckpoint`] whose stats cover the decided
+/// constraints only, so interrupted-plus-resumed totals match an
+/// uninterrupted run's. `run.resume` continues such a checkpoint (any
+/// mode may resume any checkpoint); one recorded for another schema,
+/// other options, or another query is refused.
+pub fn is_summarizable_in_schema_run(
     ds: &DimensionSchema,
-    cp: &BatteryCheckpoint,
+    c: Category,
+    s: &[Category],
     opts: DimsatOptions,
-    gov: &mut Governor,
+    run: Run<'_, BatteryCheckpoint>,
 ) -> Result<SummarizabilityOutcome, CheckpointError> {
-    let fp = implication::schema_fingerprint(ds);
-    if cp.fingerprint != fp {
-        return Err(CheckpointError::FingerprintMismatch {
-            found: cp.fingerprint,
-            expected: fp,
+    if let Some(cp) = run.resume {
+        check_battery_checkpoint(ds, cp, c, s, &opts)?;
+    }
+    Ok(drive(ds, c, s, opts, run))
+}
+
+/// [`is_summarizable_in_schema_run`] past the checkpoint check.
+fn drive(
+    ds: &DimensionSchema,
+    c: Category,
+    s: &[Category],
+    opts: DimsatOptions,
+    run: Run<'_, BatteryCheckpoint>,
+) -> SummarizabilityOutcome {
+    let (first, base) = run
+        .resume
+        .map_or((0, SearchStats::default()), |cp| (cp.next, cp.stats.clone()));
+    // A resumed battery rebuilds the recorded query, source order
+    // included, so its constraints index exactly as they did.
+    let s = run.resume.map_or(s, |cp| &cp.sources[..]);
+    let constraints = summarizability_constraints(ds.hierarchy(), c, s);
+    let plan = run.plan.then(|| odc_plan::plan_battery(ds, &constraints));
+    let battery = Battery {
+        ds,
+        constraints: &constraints,
+        opts,
+        session: run.session,
+        plan: plan.as_ref(),
+        shortcuts: None,
+    };
+    let (mut out, prefix) = battery.run(run.gov, run.jobs, first, base);
+    if let Some(p) = &plan {
+        run.gov.obs().plan(&PlanEvent {
+            battery: "theorem1_battery",
+            queries: p.stats.queries,
+            deduped: p.stats.deduped,
+            reordered: p.stats.reordered,
+            fact_hits: p.stats.fact_hits,
+            batched: p.stats.batched,
         });
     }
-    let key = options_key(&opts);
+    out.checkpoint = prefix.map(|(next, stats)| BatteryCheckpoint {
+        fingerprint: implication::schema_fingerprint(ds),
+        options_key: options_key(&opts),
+        target: c,
+        sources: s.to_vec(),
+        next,
+        stats,
+    });
+    out
+}
+
+/// Refuses a battery checkpoint recorded for another schema, under
+/// other DIMSAT options, or for another query (target and source set).
+fn check_battery_checkpoint(
+    ds: &DimensionSchema,
+    cp: &BatteryCheckpoint,
+    c: Category,
+    s: &[Category],
+    opts: &DimsatOptions,
+) -> Result<(), CheckpointError> {
+    CheckpointError::check_fingerprint(cp.fingerprint, implication::schema_fingerprint(ds))?;
+    let key = options_key(opts);
     if cp.options_key != key {
         return Err(CheckpointError::malformed(format!(
             "checkpoint was recorded under options [{}], resume requested [{}]",
             cp.options_key, key
         )));
     }
-    Ok(battery_governed_from(
-        ds,
-        cp.target,
-        &cp.sources,
-        opts,
-        gov,
-        None,
-        cp.next,
-        cp.stats.clone(),
-    ))
+    let mut want = s.to_vec();
+    let mut have = cp.sources.clone();
+    want.sort_unstable();
+    have.sort_unstable();
+    // The cursor only means anything for the query it was taken from —
+    // resuming it under another target or source set would silently
+    // answer the old question.
+    if cp.target != c || want != have {
+        let g = ds.hierarchy();
+        let names = |cs: &[Category]| cs.iter().map(|&x| g.name(x)).collect::<Vec<_>>().join(", ");
+        return Err(CheckpointError::malformed(format!(
+            "checkpoint is for {} from {{{}}}, but {} from {{{}}} was requested",
+            g.name(cp.target),
+            names(&cp.sources),
+            g.name(c),
+            names(s),
+        )));
+    }
+    Ok(())
 }
 
-fn battery_governed(
-    ds: &DimensionSchema,
-    c: Category,
-    s: &[Category],
-    opts: DimsatOptions,
-    gov: &mut Governor,
-    cache: Option<CacheSession<'_>>,
-) -> SummarizabilityOutcome {
-    battery_governed_from(ds, c, s, opts, gov, cache, 0, SearchStats::default())
+/// Per-bottom witness pools produced by a *complete* census enumeration:
+/// `pool[b]` holds one frozen dimension per inducing subhierarchy rooted
+/// at `b` (empty when `b` is unsatisfiable). By Theorem 2 these pools
+/// answer every pure-path rooted implication without another search.
+pub(crate) type WitnessPools = HashMap<Category, Vec<FrozenDimension>>;
+
+/// What the audit's rewrite matrix knows before solving a pair's
+/// battery: the shared facts and the census witness pools.
+///
+/// * a bottom proved unsatisfiable roots *no* frozen dimension, so its
+///   battery constraint is vacuously implied (sound against the full
+///   schema, which is what every battery runs against);
+/// * a complete witness pool decides a structurally-evaluable constraint
+///   by Theorem-2 quantification ([`decide_from_pool`]);
+/// * overflow-exposed bottoms take neither shortcut, so structural
+///   aborts surface exactly as the unplanned battery would surface them.
+pub(crate) struct Shortcuts<'a> {
+    pub(crate) facts: &'a SharedFacts,
+    pub(crate) pools: &'a WitnessPools,
+    pub(crate) exposed: &'a CatSet,
+    /// Answers taken from a pool (the plan event's `batched`).
+    pub(crate) batched: &'a AtomicU64,
 }
 
-/// The battery body, parameterized over a resume point: constraints
-/// before `first` are assumed already proved (their stats arrive in
-/// `decided_stats`). The outcome's `stats` include the interrupted
-/// query's partial counters; the *checkpoint's* stats do not, since that
-/// query re-runs in full on resume.
-#[allow(clippy::too_many_arguments)]
-fn battery_governed_from(
-    ds: &DimensionSchema,
-    c: Category,
-    s: &[Category],
-    opts: DimsatOptions,
-    gov: &mut Governor,
-    cache: Option<CacheSession<'_>>,
-    first: usize,
-    decided_stats: SearchStats,
-) -> SummarizabilityOutcome {
-    let mut stats = decided_stats.clone();
-    let mut decided_stats = decided_stats;
-    for (i, dc) in summarizability_constraints(ds.hierarchy(), c, s)
-        .into_iter()
-        .enumerate()
-        .skip(first)
-    {
-        let root = dc.root();
-        let out = match cache {
-            Some(session) => implication::implies_memo_session(ds, &dc, opts, gov, session),
-            None => implication::implies_governed(ds, &dc, opts, gov),
-        };
-        stats.absorb(&out.stats);
-        if let Some(intr) = out.interrupt() {
-            return SummarizabilityOutcome {
-                verdict: SummarizabilityVerdict::Unknown(intr),
-                failing_bottom: None,
-                counterexample: None,
-                stats,
-                checkpoint: Some(BatteryCheckpoint {
-                    fingerprint: implication::schema_fingerprint(ds),
-                    options_key: options_key(&opts),
-                    target: c,
-                    sources: s.to_vec(),
-                    next: i,
-                    stats: decided_stats,
-                }),
-            };
-        }
-        decided_stats.absorb(&out.stats);
-        if !out.implied() {
-            return SummarizabilityOutcome {
-                verdict: SummarizabilityVerdict::NotSummarizable,
-                failing_bottom: Some(root),
-                counterexample: out.counterexample,
-                stats,
-                checkpoint: None,
-            };
+/// One battery constraint's answer and the counters it cost.
+enum Answer {
+    Implied(SearchStats),
+    Refuted(Category, Option<FrozenDimension>, SearchStats),
+    Unknown(SearchStats),
+}
+
+impl Answer {
+    fn stats(&self) -> &SearchStats {
+        match self {
+            Answer::Implied(s) | Answer::Refuted(_, _, s) | Answer::Unknown(s) => s,
         }
     }
-    SummarizabilityOutcome {
-        verdict: SummarizabilityVerdict::Summarizable,
-        failing_bottom: None,
-        counterexample: None,
-        stats,
-        checkpoint: None,
+}
+
+/// One Theorem-1 battery, ready to run: its constraints (one per bottom,
+/// in bottom order) and how to decide them.
+pub(crate) struct Battery<'a> {
+    pub(crate) ds: &'a DimensionSchema,
+    pub(crate) constraints: &'a [DimensionConstraint],
+    pub(crate) opts: DimsatOptions,
+    pub(crate) session: Option<CacheSession<'a>>,
+    /// Execution order and aliases; `None` runs bottom order.
+    pub(crate) plan: Option<&'a QueryPlan>,
+    pub(crate) shortcuts: Option<&'a Shortcuts<'a>>,
+}
+
+impl Battery<'_> {
+    /// Decides one constraint.
+    fn decide(&self, dc: &DimensionConstraint, gov: &mut Governor) -> (Answer, Flow) {
+        let root = dc.root();
+        if let Some(sc) = self.shortcuts.filter(|sc| !sc.exposed.contains(root)) {
+            if sc.facts.known_unsat(root) {
+                sc.facts.record_hit();
+                return (Answer::Implied(SearchStats::default()), Flow::Next);
+            }
+            if let Some(decided) = sc.pools.get(&root).and_then(|w| decide_from_pool(dc, w)) {
+                sc.batched.fetch_add(1, Ordering::Relaxed);
+                return match decided {
+                    Ok(()) => (Answer::Implied(SearchStats::default()), Flow::Next),
+                    Err(w) => (
+                        Answer::Refuted(root, Some(w), SearchStats::default()),
+                        Flow::Settle,
+                    ),
+                };
+            }
+        }
+        let out = match self.session {
+            Some(s) => implication::implies_memo_session(self.ds, dc, self.opts, gov, s),
+            None => implication::implies_governed(self.ds, dc, self.opts, gov),
+        };
+        match out.verdict {
+            ImplicationVerdict::Implied => (Answer::Implied(out.stats), Flow::Next),
+            ImplicationVerdict::NotImplied => (
+                Answer::Refuted(root, out.counterexample, out.stats),
+                Flow::Settle,
+            ),
+            ImplicationVerdict::Unknown(i) => (Answer::Unknown(out.stats), Flow::Stop(i)),
+        }
+    }
+
+    /// Runs the constraints from `first` on (those before it are proved
+    /// implied, at a cost of `base`). The outcome's stats include an
+    /// interrupted query's partial counters; on an interrupt the second
+    /// value is the decided prefix — the first undecided constraint and
+    /// the counters of the decided ones before it, which is what a
+    /// checkpoint carries since resume re-runs that query in full.
+    pub(crate) fn run(
+        &self,
+        gov: &mut Governor,
+        jobs: usize,
+        first: usize,
+        base: SearchStats,
+    ) -> (SummarizabilityOutcome, Option<(usize, SearchStats)>) {
+        let n = self.constraints.len();
+        let decide = |i: usize, gov: &mut Governor| self.decide(&self.constraints[i], gov);
+        let ran = match self.plan {
+            Some(p) => {
+                let order = p.order.iter().copied().filter(move |&i| i >= first);
+                run_items(gov, jobs, n, order, "theorem1_battery", decide)
+            }
+            None => run_items(gov, jobs, n, first..n, "theorem1_battery", decide),
+        };
+        let mut items = ran.items;
+        let mut stats = base.clone();
+        for a in items.iter().flatten() {
+            stats.absorb(a.stats());
+        }
+        let refuted = items.iter_mut().find_map(|a| match a.take() {
+            Some(Answer::Refuted(root, cx, _)) => Some((root, cx)),
+            other => {
+                *a = other;
+                None
+            }
+        });
+        let (verdict, failing_bottom, counterexample) = match (refuted, ran.interrupt) {
+            (Some((root, cx)), _) => (SummarizabilityVerdict::NotSummarizable, Some(root), cx),
+            (None, Some((_, intr))) => (SummarizabilityVerdict::Unknown(intr), None, None),
+            (None, None) => (SummarizabilityVerdict::Summarizable, None, None),
+        };
+        let prefix = matches!(verdict, SummarizabilityVerdict::Unknown(_)).then(|| {
+            // An alias is decided once its canonical (always an earlier
+            // constraint) is.
+            let mut implied = vec![false; n];
+            for k in 0..n {
+                let alias = self.plan.and_then(|p| p.alias_of[k]);
+                implied[k] = k < first
+                    || matches!(items[k], Some(Answer::Implied(_)))
+                    || alias.is_some_and(|j| implied[j]);
+            }
+            let next = implied.iter().position(|&d| !d).unwrap_or(n);
+            let mut decided = base;
+            for a in items[..next].iter().flatten() {
+                decided.absorb(a.stats());
+            }
+            (next, decided)
+        });
+        let outcome = SummarizabilityOutcome {
+            verdict,
+            failing_bottom,
+            counterexample,
+            stats,
+            checkpoint: None,
+        };
+        (outcome, prefix)
     }
 }
 
@@ -312,279 +446,11 @@ pub fn decide_from_pool(
     }
 }
 
-/// The *planned* Theorem-1 battery: constraints are normalized, deduped,
-/// and cost-ordered by [`odc_plan::plan_battery`] before any search runs,
-/// so cheap refutations come first and structurally identical queries are
-/// solved once. The yes/no verdict matches the unplanned battery under a
-/// sufficient budget; like the parallel battery, when several bottoms
-/// fail the reported `failing_bottom` is the first one *found* in planned
-/// order (any countermodel is a proof). On an interrupt the checkpoint
-/// keeps the decided prefix only, so the unplanned resume path consumes
-/// it unchanged.
-pub fn is_summarizable_in_schema_planned(
-    ds: &DimensionSchema,
-    c: Category,
-    s: &[Category],
-    opts: DimsatOptions,
-    gov: &mut Governor,
-    session: Option<CacheSession<'_>>,
-) -> (SummarizabilityOutcome, odc_plan::PlanStats) {
-    let constraints = summarizability_constraints(ds.hierarchy(), c, s);
-    let plan = odc_plan::plan_battery(ds, &constraints);
-    let mut implied: Vec<bool> = vec![false; constraints.len()];
-    let mut per_item: Vec<(usize, SearchStats)> = Vec::new();
-    let mut stats = SearchStats::default();
-    for &i in &plan.order {
-        let dc = &constraints[i];
-        let out = match session {
-            Some(sess) => implication::implies_memo_session(ds, dc, opts, gov, sess),
-            None => implication::implies_governed(ds, dc, opts, gov),
-        };
-        stats.absorb(&out.stats);
-        if let Some(intr) = out.interrupt() {
-            // Decided-prefix checkpoint: aliases of decided canonicals
-            // count as decided, everything from the first open index on
-            // re-runs under the unplanned resume.
-            let decided_at = |k: usize| match plan.alias_of[k] {
-                Some(j) => implied[j],
-                None => implied[k],
-            };
-            let next = (0..constraints.len())
-                .find(|&k| !decided_at(k))
-                .unwrap_or(constraints.len());
-            let mut decided = SearchStats::default();
-            for (k, s) in &per_item {
-                if *k < next {
-                    decided.absorb(s);
-                }
-            }
-            let outcome = SummarizabilityOutcome {
-                verdict: SummarizabilityVerdict::Unknown(intr),
-                failing_bottom: None,
-                counterexample: None,
-                stats,
-                checkpoint: Some(BatteryCheckpoint {
-                    fingerprint: implication::schema_fingerprint(ds),
-                    options_key: options_key(&opts),
-                    target: c,
-                    sources: s.to_vec(),
-                    next,
-                    stats: decided,
-                }),
-            };
-            return (outcome, plan.stats);
-        }
-        per_item.push((i, out.stats.clone()));
-        if !out.implied() {
-            let outcome = SummarizabilityOutcome {
-                verdict: SummarizabilityVerdict::NotSummarizable,
-                failing_bottom: Some(dc.root()),
-                counterexample: out.counterexample,
-                stats,
-                checkpoint: None,
-            };
-            return (outcome, plan.stats);
-        }
-        implied[i] = true;
-    }
-    let outcome = SummarizabilityOutcome {
-        verdict: SummarizabilityVerdict::Summarizable,
-        failing_bottom: None,
-        counterexample: None,
-        stats,
-        checkpoint: None,
-    };
-    (outcome, plan.stats)
-}
-
-/// Per-worker result of the parallel battery.
-struct WorkerReport {
-    stats: SearchStats,
-    /// Per-constraint stats of the queries this worker *decided* (used to
-    /// rebuild the decided-prefix counters of a resume checkpoint).
-    per_item: Vec<(usize, SearchStats)>,
-    /// Lowest-index failing constraint this worker proved, if any.
-    failing: Option<(usize, Category, Option<FrozenDimension>)>,
-    /// Lowest-index query this worker had to abandon, if any.
-    unknown: Option<(usize, Interrupt)>,
-}
-
-/// The Theorem-1 battery split across `jobs` worker threads under one
-/// shared budget, with first-countermodel cancellation: as soon as any
-/// worker refutes its constraint, a battery-internal child of `cancel`
-/// stops the remaining workers (the caller's token is never flipped).
-///
-/// Verdicts match the serial battery under a sufficient budget. When
-/// several bottom categories fail, the reported `failing_bottom` is the
-/// lowest-indexed one *found* — cancellation may settle on a different
-/// (equally valid) witness than serial order would. A countermodel found
-/// by any worker wins over another worker's budget interrupt: it is a
-/// proof, so the verdict is `NotSummarizable` even if part of the battery
-/// went unexplored.
-pub fn is_summarizable_in_schema_parallel(
-    ds: &DimensionSchema,
-    c: Category,
-    s: &[Category],
-    opts: DimsatOptions,
-    budget: Budget,
-    cancel: &CancelToken,
-    jobs: usize,
-) -> SummarizabilityOutcome {
-    is_summarizable_in_schema_parallel_observed(ds, c, s, opts, budget, cancel, jobs, Obs::none())
-}
-
-/// [`is_summarizable_in_schema_parallel`] with a structured-event
-/// observer: every worker governor inherits the sink (budget heartbeats,
-/// per-solve events) and each worker reports its per-worker counters when
-/// its stripe drains.
-#[allow(clippy::too_many_arguments)]
-pub fn is_summarizable_in_schema_parallel_observed(
-    ds: &DimensionSchema,
-    c: Category,
-    s: &[Category],
-    opts: DimsatOptions,
-    budget: Budget,
-    cancel: &CancelToken,
-    jobs: usize,
-    obs: Obs,
-) -> SummarizabilityOutcome {
-    let constraints = summarizability_constraints(ds.hierarchy(), c, s);
-    let jobs = jobs.max(1).min(constraints.len().max(1));
-    if jobs <= 1 {
-        let mut gov = Governor::new(budget, cancel.clone()).with_observer(obs);
-        return battery_governed(ds, c, s, opts, &mut gov, None);
-    }
-    let battery = cancel.child();
-    let shared = SharedGovernor::new(budget, battery.clone()).with_observer(obs);
-    let reports: Vec<WorkerReport> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|w| {
-                let mut gov = shared.worker();
-                let battery = &battery;
-                let constraints = &constraints;
-                scope.spawn(move || {
-                    let mut rep = WorkerReport {
-                        stats: SearchStats::default(),
-                        per_item: Vec::new(),
-                        failing: None,
-                        unknown: None,
-                    };
-                    let mut items = 0u64;
-                    for (i, dc) in constraints.iter().enumerate().skip(w).step_by(jobs) {
-                        let out = implication::implies_governed(ds, dc, opts, &mut gov);
-                        rep.stats.absorb(&out.stats);
-                        items += 1;
-                        if out.interrupt().is_none() {
-                            rep.per_item.push((i, out.stats.clone()));
-                        }
-                        match out.verdict {
-                            ImplicationVerdict::Implied => {}
-                            ImplicationVerdict::NotImplied => {
-                                rep.failing = Some((i, dc.root(), out.counterexample));
-                                battery.cancel();
-                                break;
-                            }
-                            ImplicationVerdict::Unknown(intr) => {
-                                rep.unknown = Some((i, intr));
-                                break;
-                            }
-                        }
-                    }
-                    gov.obs().worker_finished(&WorkerStats {
-                        battery: "theorem1_battery",
-                        worker: gov.worker_id().unwrap_or(w as u64),
-                        nodes: gov.nodes(),
-                        checks: gov.checks(),
-                        items,
-                    });
-                    rep
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(rep) => rep,
-                // A worker panic is a bug, not a verdict: re-raise it
-                // instead of reporting the stripe as cleanly cancelled.
-                Err(panic) => std::panic::resume_unwind(panic),
-            })
-            .collect()
-    });
-
-    let mut stats = SearchStats::default();
-    let mut per_item: Vec<(usize, SearchStats)> = Vec::new();
-    let mut failing: Option<(usize, Category, Option<FrozenDimension>)> = None;
-    let mut unknown: Option<(usize, Interrupt)> = None;
-    for rep in reports {
-        stats.absorb(&rep.stats);
-        per_item.extend(rep.per_item);
-        if let Some((i, root, cx)) = rep.failing {
-            let replace = match &failing {
-                None => true,
-                Some((j, _, _)) => i < *j,
-            };
-            if replace {
-                failing = Some((i, root, cx));
-            }
-        }
-        if let Some((i, intr)) = rep.unknown {
-            let replace = match unknown {
-                None => true,
-                Some((j, _)) => i < j,
-            };
-            if replace {
-                unknown = Some((i, intr));
-            }
-        }
-    }
-    if let Some((_, root, cx)) = failing {
-        return SummarizabilityOutcome {
-            verdict: SummarizabilityVerdict::NotSummarizable,
-            failing_bottom: Some(root),
-            counterexample: cx,
-            stats,
-            checkpoint: None,
-        };
-    }
-    if let Some((next, intr)) = unknown {
-        // The checkpoint keeps only the decided *prefix* — constraints
-        // other workers proved beyond the interrupt index re-run on
-        // resume, so the merged totals stay identical to a clean run.
-        let mut decided = SearchStats::default();
-        for (i, s) in &per_item {
-            if *i < next {
-                decided.absorb(s);
-            }
-        }
-        return SummarizabilityOutcome {
-            verdict: SummarizabilityVerdict::Unknown(intr),
-            failing_bottom: None,
-            counterexample: None,
-            stats,
-            checkpoint: Some(BatteryCheckpoint {
-                fingerprint: implication::schema_fingerprint(ds),
-                options_key: options_key(&opts),
-                target: c,
-                sources: s.to_vec(),
-                next,
-                stats: decided,
-            }),
-        };
-    }
-    SummarizabilityOutcome {
-        verdict: SummarizabilityVerdict::Summarizable,
-        failing_bottom: None,
-        counterexample: None,
-        stats,
-        checkpoint: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odc_hierarchy::HierarchySchema;
+    use odc_dimsat::ImplicationCache;
+    use odc_govern::{Budget, CancelToken};
     use std::sync::Arc;
 
     fn location_sch() -> DimensionSchema {
@@ -623,6 +489,41 @@ mod tests {
 
     fn cat(ds: &DimensionSchema, n: &str) -> Category {
         ds.hierarchy().category_by_name(n).unwrap()
+    }
+
+    /// The battery over `jobs` workers on `gov`.
+    fn battery_jobs(
+        ds: &DimensionSchema,
+        c: Category,
+        s: &[Category],
+        mut gov: Governor,
+        jobs: usize,
+    ) -> SummarizabilityOutcome {
+        let run = Run::new(&mut gov).jobs(jobs);
+        is_summarizable_in_schema_run(ds, c, s, DimsatOptions::default(), run)
+            .expect("nothing to resume")
+    }
+
+    /// The serial battery on `gov`.
+    fn battery_on(
+        ds: &DimensionSchema,
+        c: Category,
+        s: &[Category],
+        gov: &mut Governor,
+    ) -> SummarizabilityOutcome {
+        is_summarizable_in_schema_run(ds, c, s, DimsatOptions::default(), Run::new(gov))
+            .expect("nothing to resume")
+    }
+
+    /// Resumes `cp` serially on an unlimited governor.
+    fn resume_with(
+        ds: &DimensionSchema,
+        cp: &BatteryCheckpoint,
+        opts: DimsatOptions,
+    ) -> Result<SummarizabilityOutcome, CheckpointError> {
+        let mut gov = Governor::unlimited();
+        let run = Run::new(&mut gov).resume(Some(cp));
+        is_summarizable_in_schema_run(ds, cp.target, &cp.sources, opts, run)
     }
 
     #[test]
@@ -742,22 +643,14 @@ mod tests {
 
     #[test]
     fn parallel_battery_matches_serial() {
-        use odc_govern::{Budget, CancelToken};
         let ds = multi_bottom_sch();
         let top = cat(&ds, "Top");
         let mid = cat(&ds, "Mid");
         for (target, sources) in [(top, vec![mid]), (top, vec![]), (mid, vec![top])] {
             let serial = is_summarizable_in_schema(&ds, target, &sources);
             for jobs in [1, 2, 4, 8] {
-                let par = is_summarizable_in_schema_parallel(
-                    &ds,
-                    target,
-                    &sources,
-                    DimsatOptions::default(),
-                    Budget::unlimited(),
-                    &CancelToken::new(),
-                    jobs,
-                );
+                let gov = Governor::new(Budget::unlimited(), CancelToken::new());
+                let par = battery_jobs(&ds, target, &sources, gov, jobs);
                 assert_eq!(par.verdict, serial.verdict, "jobs={jobs}");
                 assert_eq!(par.failing_bottom.is_some(), serial.failing_bottom.is_some());
             }
@@ -766,17 +659,14 @@ mod tests {
 
     #[test]
     fn parallel_battery_respects_caller_cancellation() {
-        use odc_govern::{Budget, CancelToken};
         let ds = multi_bottom_sch();
         let token = CancelToken::new();
         token.cancel();
-        let out = is_summarizable_in_schema_parallel(
+        let out = battery_jobs(
             &ds,
             cat(&ds, "Top"),
             &[cat(&ds, "Mid")],
-            DimsatOptions::default(),
-            Budget::unlimited(),
-            &token,
+            Governor::new(Budget::unlimited(), token),
             4,
         );
         assert!(out.is_unknown(), "pre-cancelled battery must not decide");
@@ -787,21 +677,21 @@ mod tests {
         let ds = location_sch();
         let cache = ImplicationCache::for_schema(&ds);
         let mut gov = Governor::unlimited();
-        let first = is_summarizable_in_schema_memo(
+        let first = is_summarizable_in_schema_session(
             &ds,
             cat(&ds, "Country"),
             &[cat(&ds, "City")],
             DimsatOptions::default(),
             &mut gov,
-            &cache,
+            cache.begin_session(),
         );
-        let second = is_summarizable_in_schema_memo(
+        let second = is_summarizable_in_schema_session(
             &ds,
             cat(&ds, "Country"),
             &[cat(&ds, "City")],
             DimsatOptions::default(),
             &mut gov,
-            &cache,
+            cache.begin_session(),
         );
         assert_eq!(first.verdict, second.verdict);
         assert!(first.stats.cache_misses > 0 && first.stats.cache_hits == 0);
@@ -869,13 +759,7 @@ mod tests {
                 Budget::unlimited().with_node_limit(limit),
                 CancelToken::new(),
             );
-            let partial = is_summarizable_in_schema_governed(
-                &ds,
-                target,
-                &sources,
-                DimsatOptions::default(),
-                &mut gov,
-            );
+            let partial = battery_on(&ds, target, &sources, &mut gov);
             if !partial.is_unknown() {
                 assert_eq!(partial.verdict, clean.verdict);
                 break;
@@ -886,10 +770,8 @@ mod tests {
             }
             // Through the text form, like a real restart would.
             let cp = load_battery_checkpoint(&ds, &cp.to_text()).expect("roundtrip");
-            let mut gov = Governor::unlimited();
-            let merged =
-                resume_summarizability(&ds, &cp, DimsatOptions::default(), &mut gov)
-                    .expect("same schema resumes");
+            let merged = resume_with(&ds, &cp, DimsatOptions::default())
+                .expect("same schema resumes");
             assert_eq!(merged.verdict, clean.verdict, "limit={limit}");
             assert_battery_stats_match(&merged.stats, &clean.stats, &format!("limit={limit}"));
         }
@@ -905,22 +787,28 @@ mod tests {
             Budget::unlimited().with_node_limit(4),
             CancelToken::new(),
         );
-        let partial = is_summarizable_in_schema_governed(
-            &ds,
-            target,
-            &sources,
-            DimsatOptions::default(),
-            &mut gov,
-        );
+        let partial = battery_on(&ds, target, &sources, &mut gov);
         let cp = partial.checkpoint.expect("tiny budget interrupts");
         let other = location_sch();
-        let mut gov = Governor::unlimited();
         assert!(matches!(
-            resume_summarizability(&other, &cp, DimsatOptions::default(), &mut gov),
+            resume_with(&other, &cp, DimsatOptions::default()),
             Err(odc_govern::CheckpointError::FingerprintMismatch { .. })
         ));
         assert!(matches!(
-            resume_summarizability(&ds, &cp, DimsatOptions::default().without_trail(), &mut gov),
+            resume_with(&ds, &cp, DimsatOptions::default().without_trail()),
+            Err(odc_govern::CheckpointError::Malformed(_))
+        ));
+        // The cursor only means anything for the query it was taken from.
+        let mut gov = Governor::unlimited();
+        let other_query = Run::new(&mut gov).resume(Some(&cp));
+        assert!(matches!(
+            is_summarizable_in_schema_run(
+                &ds,
+                cat(&ds, "Region"),
+                &sources,
+                DimsatOptions::default(),
+                other_query,
+            ),
             Err(odc_govern::CheckpointError::Malformed(_))
         ));
     }
@@ -934,15 +822,9 @@ mod tests {
         let clean = is_summarizable_in_schema(&ds, target, &sources);
         let mut resumed_any = false;
         for limit in (1..3000u64).step_by(7) {
-            let partial = is_summarizable_in_schema_parallel(
-                &ds,
-                target,
-                &sources,
-                DimsatOptions::default(),
-                Budget::unlimited().with_node_limit(limit),
-                &CancelToken::new(),
-                3,
-            );
+            let budget = Budget::unlimited().with_node_limit(limit);
+            let gov = Governor::new(budget, CancelToken::new());
+            let partial = battery_jobs(&ds, target, &sources, gov, 3);
             if !partial.is_unknown() {
                 continue;
             }
@@ -950,10 +832,8 @@ mod tests {
                 continue;
             };
             let cp = load_battery_checkpoint(&ds, &cp.to_text()).expect("roundtrip");
-            let mut gov = Governor::unlimited();
-            let merged =
-                resume_summarizability(&ds, &cp, DimsatOptions::default(), &mut gov)
-                    .expect("same schema resumes");
+            let merged = resume_with(&ds, &cp, DimsatOptions::default())
+                .expect("same schema resumes");
             assert_eq!(merged.verdict, clean.verdict, "limit={limit}");
             assert_battery_stats_match(&merged.stats, &clean.stats, &format!("limit={limit}"));
             resumed_any = true;

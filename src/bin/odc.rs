@@ -43,7 +43,6 @@ use odc_core::prelude::*;
 use odc_core::repo::{self as vrepo, VerdictRepo};
 use odc_core::summarizability::advisor;
 use odc_core::summarizability::checkpoint::{load_audit_checkpoint, load_battery_checkpoint};
-use odc_core::summarizability::resume_summarizability;
 use odc_serve::{ServeConfig, Server};
 use std::path::Path;
 use std::process::ExitCode;
@@ -291,84 +290,44 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
             let mut attempts = 0u32;
             let report = loop {
                 attempts += 1;
-                let report = if let Some(r) = &repo {
-                    if jobs > 1 {
-                        // A read-only probe answers entirely from disk when
-                        // the store is fully warm — no worker pool, no
-                        // solve events, and (unlike the zero-node-budget
-                        // probe it replaces) no clobbered pending cursors.
-                        if let Some(warm) = vrepo::warm_audit_from_repo(&ds, r) {
-                            warm
-                        } else {
-                            let rep = if plan {
-                                // Stored sat/unsat verdicts seed the
-                                // planner, so a partially-warm store still
-                                // skips the solves it already proves.
-                                let facts = vrepo::warm_facts(&ds, r);
-                                advisor::audit_planned_parallel_seeded(
-                                    &ds,
-                                    attempt_budget,
-                                    &CancelToken::new(),
-                                    jobs,
-                                    obs.clone(),
-                                    &facts,
-                                )
-                            } else {
-                                advisor::audit_parallel_observed(
-                                    &ds,
-                                    attempt_budget,
-                                    &CancelToken::new(),
-                                    jobs,
-                                    obs.clone(),
-                                )
-                            };
-                            vrepo::drivers::store_report(&ds, r, &rep);
-                            rep
-                        }
-                    } else {
+                let warm = repo.as_ref().filter(|_| jobs > 1).and_then(|r| {
+                    // A read-only probe answers entirely from disk when the
+                    // store is fully warm — no worker pool, no solve
+                    // events, and (unlike the zero-node-budget probe it
+                    // replaces) no clobbered pending cursors.
+                    vrepo::warm_audit_from_repo(&ds, r)
+                });
+                let report = match (&repo, warm) {
+                    (_, Some(warm)) => warm,
+                    (Some(r), None) if jobs <= 1 => {
                         let mut gov = make_governor(attempt_budget, &obs, &flags.fault);
                         vrepo::audit_with_repo(&ds, r, &mut gov)
                     }
-                } else if jobs > 1 {
-                    match &cp {
-                        Some(c) => advisor::audit_resume_parallel(
-                            &ds,
-                            c,
-                            attempt_budget,
-                            &CancelToken::new(),
-                            jobs,
-                            obs.clone(),
-                        )
-                        .map_err(|e| format!("resume: {e}"))?,
-                        None if plan => advisor::audit_planned_parallel_observed(
-                            &ds,
-                            attempt_budget,
-                            &CancelToken::new(),
-                            jobs,
-                            obs.clone(),
-                        ),
-                        None => advisor::audit_parallel_observed(
-                            &ds,
-                            attempt_budget,
-                            &CancelToken::new(),
-                            jobs,
-                            obs.clone(),
-                        ),
-                    }
-                } else {
-                    let mut gov = make_governor(attempt_budget, &obs, &flags.fault);
-                    match &cp {
-                        Some(c) => advisor::audit_resume(&ds, c, &mut gov)
-                            .map_err(|e| format!("resume: {e}"))?,
-                        None if plan => advisor::audit_planned_governed(&ds, &mut gov),
-                        None => {
-                            // Even unplanned, repeated implications within
-                            // the audit answer from the run's
-                            // schema-fingerprinted memo cache (they used
-                            // to run cold every time).
-                            let cache = ImplicationCache::for_schema(&ds);
-                            advisor::audit_governed_memo(&ds, &mut gov, &cache)
+                    _ => {
+                        // Stored sat/unsat verdicts seed the planner, so a
+                        // partially-warm store still skips the solves it
+                        // already proves.
+                        let facts = repo.as_ref().map(|r| vrepo::warm_facts(&ds, r));
+                        let cache = ImplicationCache::for_schema(&ds);
+                        let mut gov = make_governor(attempt_budget, &obs, &flags.fault);
+                        // A resumed audit continues unplanned, and a serial
+                        // one without the memo-cache: the solves it replays
+                        // are the ones every earlier release replayed.
+                        let mut run = Run::new(&mut gov)
+                            .jobs(jobs)
+                            .planned(plan && cp.is_none())
+                            .resume(cp.as_ref());
+                        if cp.is_none() || jobs > 1 {
+                            run = run.session(cache.begin_session());
                         }
+                        if let Some(f) = &facts {
+                            run = run.facts(f);
+                        }
+                        let rep = advisor::audit_run(&ds, run).map_err(|e| format!("resume: {e}"))?;
+                        if let Some(r) = &repo {
+                            vrepo::drivers::store_report(&ds, r, &rep);
+                        }
+                        rep
                     }
                 };
                 if report.interrupted.is_none()
@@ -379,7 +338,9 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                 }
                 // With a repository, the pending cursors on disk are the
                 // checkpoint; the next attempt resumes them per sub-query.
-                cp = report.checkpoint;
+                if repo.is_none() {
+                    cp = report.checkpoint;
+                }
                 attempt_budget = attempt_budget.scaled(2);
             };
             let unknown = report.interrupted.is_some();
@@ -635,35 +596,12 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                 return Ok(RunOutput::answered(hit.payload.clone()));
             }
             let mut cp = match &flags.resume {
-                Some(path) => {
-                    let c = load_battery_checkpoint(&ds, &read_file(path)?)
-                        .map_err(|e| format!("--resume {path}: {e}"))?;
-                    // The checkpoint's cursor only means anything for the
-                    // query it was taken from — resuming it under a
-                    // different target or source set would silently answer
-                    // the old question.
-                    let mut want = s.clone();
-                    let mut have = c.sources.clone();
-                    want.sort_unstable();
-                    have.sort_unstable();
-                    if c.target != t || have != want {
-                        let names = |cs: &[Category]| {
-                            cs.iter()
-                                .map(|&x| ds.hierarchy().name(x).to_string())
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        };
-                        return Err(format!(
-                            "--resume {path}: checkpoint is for {} from {{{}}}, \
-                             but {} from {{{}}} was requested",
-                            ds.hierarchy().name(c.target),
-                            names(&c.sources),
-                            target,
-                            names(&s),
-                        ));
-                    }
-                    Some(c)
-                }
+                // `is_summarizable_in_schema_run` refuses a cursor taken for
+                // another query.
+                Some(path) => Some(
+                    load_battery_checkpoint(&ds, &read_file(path)?)
+                        .map_err(|e| format!("--resume {path}: {e}"))?,
+                ),
                 None => repo.as_ref().and_then(|r| {
                     // A pending battery cursor in the repository warm
                     // starts the decided prefix like `--resume` would.
@@ -675,59 +613,17 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
             let mut attempts = 0u32;
             let out = loop {
                 attempts += 1;
-                // A resumed battery continues serially: its checkpoint is
-                // a decided-prefix cursor, which one governor walks
-                // exactly; the remaining items are the expensive tail
-                // anyway.
-                let out = match cp.take() {
-                    Some(c) => {
-                        let mut gov = make_governor(attempt_budget, &obs, &flags.fault);
-                        resume_summarizability(&ds, &c, DimsatOptions::default(), &mut gov)
-                            .map_err(|e| format!("resume: {e}"))?
-                    }
-                    None if jobs > 1 => {
-                        odc_core::summarizability::is_summarizable_in_schema_parallel_observed(
-                            &ds,
-                            t,
-                            &s,
-                            DimsatOptions::default(),
-                            attempt_budget,
-                            &CancelToken::new(),
-                            jobs,
-                            obs.clone(),
-                        )
-                    }
-                    None if plan => {
-                        let mut gov = make_governor(attempt_budget, &obs, &flags.fault);
-                        let (out, ps) = odc_core::summarizability::is_summarizable_in_schema_planned(
-                            &ds,
-                            t,
-                            &s,
-                            DimsatOptions::default(),
-                            &mut gov,
-                            None,
-                        );
-                        gov.obs().plan(&odc_core::obs::PlanEvent {
-                            battery: "theorem1_battery",
-                            queries: ps.queries,
-                            deduped: ps.deduped,
-                            reordered: ps.reordered,
-                            fact_hits: ps.fact_hits,
-                            batched: ps.batched,
-                        });
-                        out
-                    }
-                    None => {
-                        let mut gov = make_governor(attempt_budget, &obs, &flags.fault);
-                        odc_core::summarizability::is_summarizable_in_schema_governed(
-                            &ds,
-                            t,
-                            &s,
-                            DimsatOptions::default(),
-                            &mut gov,
-                        )
-                    }
+                // A resumed battery continues serially and unplanned: its
+                // countermodel, when several bottoms fail, is then the
+                // first failing one in bottom order, as a fresh serial
+                // unplanned run reports it.
+                let mut gov = make_governor(attempt_budget, &obs, &flags.fault);
+                let run = match &cp {
+                    Some(c) => Run::new(&mut gov).resume(Some(c)),
+                    None => Run::new(&mut gov).jobs(jobs).planned(plan),
                 };
+                let out = is_summarizable_in_schema_run(&ds, t, &s, DimsatOptions::default(), run)
+                    .map_err(|e| format!("resume: {e}"))?;
                 if !out.is_unknown() || out.checkpoint.is_none() || attempts > flags.retry {
                     break out;
                 }
@@ -1058,14 +954,14 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                                 (true, None)
                             } else {
                                 let mut gov = make_governor(budget, &obs, &None);
-                                let out =
-                                    odc_core::summarizability::is_summarizable_in_schema_governed(
-                                        ds,
-                                        to,
-                                        &[from],
-                                        DimsatOptions::default(),
-                                        &mut gov,
-                                    );
+                                let out = is_summarizable_in_schema_run(
+                                    ds,
+                                    to,
+                                    &[from],
+                                    DimsatOptions::default(),
+                                    Run::new(&mut gov),
+                                )
+                                .map_err(|e| format!("cube: {e}"))?;
                                 match &out.verdict {
                                     SummarizabilityVerdict::Summarizable => {
                                         if hit.is_none() {

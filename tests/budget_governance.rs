@@ -183,7 +183,7 @@ fn zero_budget_audit_is_coherently_empty() {
         Budget::unlimited().with_node_limit(0),
         CancelToken::new(),
     );
-    let report = advisor::audit_governed(&ds, &mut gov);
+    let report = advisor::audit_run(&ds, Run::new(&mut gov)).expect("nothing to resume");
     assert!(report.interrupted.is_some(), "zero budget must interrupt");
     assert!(report.unsatisfiable.is_empty());
     assert!(report.redundant_constraints.is_empty());

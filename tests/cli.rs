@@ -72,6 +72,53 @@ fn implies_positive_and_negative() {
     assert!(text.contains("countermodel:"), "{text}");
 }
 
+/// `summarizable --jobs N` runs through the one battery driver, so it
+/// honours `--plan`: serial and parallel planned runs each emit exactly
+/// one `theorem1_battery` plan event, `--no-plan` emits none, and every
+/// run prints the serial run's verdict line.
+#[test]
+fn summarizable_jobs_honours_plan() {
+    let dir = std::env::temp_dir().join(format!("odc-cli-plan-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    // Three bottoms, two of which can skip X on their way to Y.
+    let schema = dir.join("three-bottoms.odcs");
+    std::fs::write(
+        &schema,
+        "hierarchy:\n  A > X, Y\n  B > X, Y\n  C > X\n  X > Y\n  Y > All\n\n\
+         constraints:\n  A.Y\n  B.Y\n  C_X\n",
+    )
+    .expect("write schema");
+    let stats = dir.join("stats.jsonl");
+    let (schema, stats_path) = (schema.to_str().unwrap(), stats.to_str().unwrap());
+    for (target, source, verdict) in [("Y", "X", "false"), ("All", "Y", "true")] {
+        let run = |extra: &[&str]| -> (String, usize) {
+            let _ = std::fs::remove_file(&stats);
+            let mut args = vec!["summarizable", schema, target, source, "--stats-json", stats_path];
+            args.extend_from_slice(extra);
+            let out = odc(&args);
+            assert!(out.status.success(), "{extra:?}");
+            let events = std::fs::read_to_string(&stats).expect("stats file written");
+            let plans: Vec<&str> =
+                events.lines().filter(|l| l.contains("\"event\":\"plan\"")).collect();
+            for p in &plans {
+                assert!(p.contains("\"battery\":\"theorem1_battery\""), "{p}");
+            }
+            let text = stdout(&out);
+            (text.lines().next().unwrap_or_default().to_string(), plans.len())
+        };
+        let (serial, n) = run(&[]);
+        assert_eq!(serial, format!("summarizable: {verdict}"));
+        assert_eq!(n, 1, "one plan event for the serial planned battery");
+        let (par, n) = run(&["--jobs", "2"]);
+        assert_eq!(par, serial, "--jobs 2");
+        assert_eq!(n, 1, "--jobs 2 keeps the planner");
+        let (unplanned, n) = run(&["--no-plan", "--jobs", "2"]);
+        assert_eq!(unplanned, serial, "--no-plan --jobs 2");
+        assert_eq!(n, 0, "--no-plan emits no plan event");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn summarizable_matches_example_10() {
     let out = odc(&["summarizable", &schema_file(), "Country", "City"]);

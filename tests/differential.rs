@@ -249,12 +249,9 @@ fn planned_audit_matches_unplanned_on_seeded_families() {
             "round {round}: {ds}"
         );
         for jobs in [2usize, 4] {
-            let par = advisor::audit_planned_parallel(
-                &ds,
-                Budget::unlimited(),
-                &CancelToken::new(),
-                jobs,
-            );
+            let mut gov = Governor::unlimited();
+            let par = advisor::audit_run(&ds, Run::new(&mut gov).jobs(jobs).planned(true))
+                .expect("nothing to resume");
             assert_eq!(
                 par.render(&ds),
                 unplanned.render(&ds),
@@ -275,8 +272,7 @@ fn planned_verdicts_match_unplanned_on_sat_adversarial_schemas() {
     use olap_dimension_constraints::plan::SharedFacts;
     use olap_dimension_constraints::summarizability::advisor::rewrite_pairs;
     use olap_dimension_constraints::summarizability::{
-        is_summarizable_in_schema_governed, is_summarizable_in_schema_planned,
-        summarizability_constraints, SummarizabilityVerdict,
+        is_summarizable_in_schema_run, summarizability_constraints, SummarizabilityVerdict,
     };
     let mut rng = StdRng::seed_from_u64(0xADA547);
     for n_vars in [4usize, 6] {
@@ -291,33 +287,25 @@ fn planned_verdicts_match_unplanned_on_sat_adversarial_schemas() {
             let full = solver.unsatisfiable_categories();
             assert!(full.is_complete());
             let mut gov = Governor::unlimited();
-            let planned = solver.unsatisfiable_categories_planned_governed(
-                &mut gov,
-                &SharedFacts::new(g.num_categories()),
-            );
+            let facts = SharedFacts::new(g.num_categories());
+            let planned = solver
+                .unsatisfiable_categories_run(Run::new(&mut gov).planned(true).facts(&facts))
+                .expect("nothing to resume");
             assert!(planned.is_complete(), "n={n_vars} ratio={ratio}");
             assert_eq!(planned.unsat, full.unsat, "n={n_vars} ratio={ratio}");
             assert_eq!(planned.sat, full.sat, "n={n_vars} ratio={ratio}");
 
             // Theorem-1 battery parity over the rewrite pairs.
             for &(coarse, fine) in rewrite_pairs(g).iter().take(6) {
-                let mut gov = Governor::unlimited();
-                let serial = is_summarizable_in_schema_governed(
-                    &ds,
-                    coarse,
-                    &[fine],
-                    DimsatOptions::default(),
-                    &mut gov,
-                );
-                let mut gov = Governor::unlimited();
-                let (planned, _stats) = is_summarizable_in_schema_planned(
-                    &ds,
-                    coarse,
-                    &[fine],
-                    DimsatOptions::default(),
-                    &mut gov,
-                    None,
-                );
+                let battery = |plan: bool| {
+                    let mut gov = Governor::unlimited();
+                    let run = Run::new(&mut gov).planned(plan);
+                    let opts = DimsatOptions::default();
+                    is_summarizable_in_schema_run(&ds, coarse, &[fine], opts, run)
+                        .expect("nothing to resume")
+                };
+                let serial = battery(false);
+                let planned = battery(true);
                 let ctx = format!(
                     "n={n_vars} ratio={ratio} {}<-{}",
                     g.name(coarse),

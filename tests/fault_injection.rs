@@ -13,7 +13,7 @@ use olap_dimension_constraints::govern::{FaultKind, FaultPlan, FaultTrigger, Inj
 use olap_dimension_constraints::prelude::*;
 use olap_dimension_constraints::summarizability::advisor;
 use olap_dimension_constraints::summarizability::{
-    is_summarizable_in_schema, is_summarizable_in_schema_governed, resume_summarizability,
+    is_summarizable_in_schema, is_summarizable_in_schema_run,
 };
 use olap_dimension_constraints::workload::{random_schema, SchemaGenParams};
 use olap_dimension_constraints::InterruptReason;
@@ -152,7 +152,9 @@ fn seeded_interrupts_resume_sweeps_identically() {
         )
         .with_max_injections(1);
         let mut gov = solver.governor().with_fault_plan(plan);
-        let sweep = solver.unsatisfiable_categories_governed(&mut gov);
+        let sweep = solver
+            .unsatisfiable_categories_run(Run::new(&mut gov))
+            .expect("nothing to resume");
         if sweep.interrupted.is_none() {
             continue;
         }
@@ -162,7 +164,10 @@ fn seeded_interrupts_resume_sweeps_identically() {
         let cp = solver
             .load_sweep_checkpoint(&cp.to_text())
             .expect("roundtrip");
-        let resumed = solver.resume_sweep(&cp).expect("same schema resumes");
+        let mut gov = solver.governor();
+        let resumed = solver
+            .unsatisfiable_categories_run(Run::new(&mut gov).resume(Some(&cp)))
+            .expect("same schema resumes");
         assert!(resumed.is_complete(), "seed {seed}");
         assert_eq!(resumed.unsat, clean.unsat, "seed {seed}");
         assert_eq!(resumed.sat, clean.sat, "seed {seed}");
@@ -193,19 +198,16 @@ fn seeded_interrupts_resume_batteries_identically() {
         )
         .with_max_injections(1);
         let mut gov = Governor::unlimited().with_fault_plan(plan);
-        let partial = is_summarizable_in_schema_governed(
-            &ds,
-            target,
-            &sources,
-            DimsatOptions::default(),
-            &mut gov,
-        );
+        let opts = DimsatOptions::default();
+        let partial = is_summarizable_in_schema_run(&ds, target, &sources, opts, Run::new(&mut gov))
+            .expect("nothing to resume");
         if !partial.is_unknown() {
             continue;
         }
         let cp = partial.checkpoint.expect("battery fault leaves checkpoint");
         let mut gov = Governor::unlimited();
-        let resumed = resume_summarizability(&ds, &cp, DimsatOptions::default(), &mut gov)
+        let run = Run::new(&mut gov).resume(Some(&cp));
+        let resumed = is_summarizable_in_schema_run(&ds, target, &sources, opts, run)
             .expect("same schema resumes");
         assert_eq!(resumed.verdict, clean.verdict, "seed {seed}");
         assert_stats_match(&resumed.stats, &clean.stats, &format!("seed {seed}"));
@@ -234,13 +236,14 @@ fn seeded_interrupts_resume_audits_identically() {
         )
         .with_max_injections(1);
         let mut gov = Governor::unlimited().with_fault_plan(plan);
-        let partial = advisor::audit_governed(&ds, &mut gov);
+        let partial = advisor::audit_run(&ds, Run::new(&mut gov)).expect("nothing to resume");
         let Some(cp) = partial.checkpoint else {
             assert!(partial.interrupted.is_none());
             continue;
         };
         let mut gov = Governor::unlimited();
-        let resumed = advisor::audit_resume(&ds, &cp, &mut gov).expect("same schema resumes");
+        let resumed = advisor::audit_run(&ds, Run::new(&mut gov).resume(Some(&cp)))
+            .expect("same schema resumes");
         assert!(resumed.interrupted.is_none(), "seed {seed}");
         assert_eq!(resumed.unsatisfiable, clean.unsatisfiable, "seed {seed}");
         assert_eq!(

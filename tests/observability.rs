@@ -22,6 +22,14 @@ fn store(ds: &DimensionSchema) -> Category {
     ds.hierarchy().category_by_name("Store").expect("Store")
 }
 
+/// The category sweep over `jobs` workers on the solver's governor.
+fn sweep_jobs(solver: &Dimsat<'_>, jobs: usize) -> odc_core::dimsat::CategorySweep {
+    let mut gov = solver.governor();
+    solver
+        .unsatisfiable_categories_run(Run::new(&mut gov).jobs(jobs))
+        .expect("nothing to resume")
+}
+
 /// The counters carried on the `solve_end` event are the same numbers
 /// the solver returns in its `SearchStats`, and the fine-grained event
 /// stream (prunes, checks) is consistent with them.
@@ -139,9 +147,10 @@ impl Observer for PanickingObserver {
 fn sweep_worker_panic_is_not_swallowed() {
     let ds = location_schema();
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        Dimsat::new(&ds)
-            .with_observer(Obs::new(Arc::new(PanickingObserver)))
-            .unsatisfiable_categories_parallel(2)
+        sweep_jobs(
+            &Dimsat::new(&ds).with_observer(Obs::new(Arc::new(PanickingObserver))),
+            2,
+        )
     }));
     assert!(result.is_err(), "the sweep must not report a verdict");
 }
@@ -158,16 +167,9 @@ fn theorem1_worker_panic_is_not_swallowed() {
     let target = ds.hierarchy().category_by_name("X").expect("X");
     let source = ds.hierarchy().category_by_name("A").expect("A");
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        odc_core::summarizability::is_summarizable_in_schema_parallel_observed(
-            &ds,
-            target,
-            &[source],
-            DimsatOptions::default(),
-            Budget::unlimited(),
-            &CancelToken::new(),
-            2,
-            Obs::new(Arc::new(PanickingObserver)),
-        )
+        let mut gov = Governor::unlimited().with_observer(Obs::new(Arc::new(PanickingObserver)));
+        let run = Run::new(&mut gov).jobs(2);
+        is_summarizable_in_schema_run(&ds, target, &[source], DimsatOptions::default(), run)
     }));
     assert!(result.is_err(), "the battery must not report a verdict");
 }
@@ -177,13 +179,8 @@ fn theorem1_worker_panic_is_not_swallowed() {
 fn audit_worker_panic_is_not_swallowed() {
     let ds = location_schema();
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        advisor::audit_parallel_observed(
-            &ds,
-            Budget::unlimited(),
-            &CancelToken::new(),
-            2,
-            Obs::new(Arc::new(PanickingObserver)),
-        )
+        let mut gov = Governor::unlimited().with_observer(Obs::new(Arc::new(PanickingObserver)));
+        advisor::audit_run(&ds, Run::new(&mut gov).jobs(2))
     }));
     assert!(result.is_err(), "the audit must not report a verdict");
 }
@@ -251,13 +248,9 @@ fn repo_warm_probe_is_silent_and_side_effect_free() {
 fn planned_parallel_audit_emits_paired_solve_events_and_plan_summary() {
     let ds = location_schema();
     let collector = Arc::new(CollectingObserver::new());
-    let report = advisor::audit_planned_parallel_observed(
-        &ds,
-        Budget::unlimited(),
-        &CancelToken::new(),
-        2,
-        Obs::new(collector.clone()),
-    );
+    let mut gov = Governor::unlimited().with_observer(Obs::new(collector.clone()));
+    let report = advisor::audit_run(&ds, Run::new(&mut gov).jobs(2).planned(true))
+        .expect("nothing to resume");
     assert!(report.interrupted.is_none());
     let events = collector.events();
     let mut starts: Vec<u64> = Vec::new();
@@ -289,9 +282,7 @@ fn planned_parallel_audit_emits_paired_solve_events_and_plan_summary() {
 fn parallel_sweep_reports_labeled_worker_stats() {
     let ds = location_schema();
     let collector = Arc::new(CollectingObserver::new());
-    let report = Dimsat::new(&ds)
-        .with_observer(Obs::new(collector.clone()))
-        .unsatisfiable_categories_parallel(3);
+    let report = sweep_jobs(&Dimsat::new(&ds).with_observer(Obs::new(collector.clone())), 3);
     assert!(report.is_complete());
     let workers: Vec<_> = collector
         .events()

@@ -11,6 +11,26 @@ use olap_dimension_constraints::prelude::*;
 use olap_dimension_constraints::summarizability::advisor;
 use olap_dimension_constraints::workload::{random_schema, SchemaGenParams};
 
+/// The category sweep under `run` options on the solver's governor.
+fn sweep_with(
+    solver: &Dimsat<'_>,
+    gov: &mut Governor,
+    jobs: usize,
+    plan: bool,
+    resume: Option<&olap_dimension_constraints::dimsat::SweepCheckpoint>,
+) -> olap_dimension_constraints::dimsat::CategorySweep {
+    let run = Run::new(gov).jobs(jobs).planned(plan).resume(resume);
+    solver.unsatisfiable_categories_run(run).expect("same schema resumes")
+}
+
+/// The sweep over `jobs` workers on a fresh governor of the solver's.
+fn sweep_jobs(
+    solver: &Dimsat<'_>,
+    jobs: usize,
+) -> olap_dimension_constraints::dimsat::CategorySweep {
+    sweep_with(solver, &mut solver.governor(), jobs, false, None)
+}
+
 /// Order-sensitive structural fingerprint: the kernels must agree on the
 /// *sequence* of frozen dimensions, not just the set.
 fn ordered_fingerprints(frozen: &[FrozenDimension]) -> Vec<Vec<(usize, usize)>> {
@@ -117,7 +137,7 @@ fn parallel_sweep_matches_serial_on_random_schemas() {
         let serial = Dimsat::new(&ds).unsatisfiable_categories();
         assert!(serial.is_complete());
         for jobs in [2usize, 3, 8] {
-            let par = Dimsat::new(&ds).unsatisfiable_categories_parallel(jobs);
+            let par = sweep_jobs(&Dimsat::new(&ds), jobs);
             assert!(par.is_complete(), "round {round} jobs {jobs}");
             assert_eq!(par.unsat, serial.unsat, "round {round} jobs {jobs}");
         }
@@ -133,9 +153,10 @@ fn parallel_sweep_shares_one_budget() {
     let ds = random_schema(&SchemaGenParams::default(), &mut rng).unwrap();
     let full = Dimsat::new(&ds).unsatisfiable_categories();
     assert!(full.is_complete());
-    let limited = Dimsat::new(&ds)
-        .with_budget(Budget::unlimited().with_node_limit(1))
-        .unsatisfiable_categories_parallel(4);
+    let limited = sweep_jobs(
+        &Dimsat::new(&ds).with_budget(Budget::unlimited().with_node_limit(1)),
+        4,
+    );
     assert!(limited.interrupted.is_some(), "limit 1 must interrupt");
     assert!(!limited.is_complete());
     // Partial verdicts must be a subset of the full answer.
@@ -152,15 +173,15 @@ fn parallel_battery_matches_serial_on_catalog_queries() {
         for (target, sources) in &entry.queries {
             let serial = is_summarizable_in_schema(&entry.schema, *target, sources);
             for jobs in [2usize, 4] {
-                let par = odc_core::summarizability::is_summarizable_in_schema_parallel(
+                let mut gov = Governor::unlimited();
+                let par = is_summarizable_in_schema_run(
                     &entry.schema,
                     *target,
                     sources,
                     DimsatOptions::default(),
-                    Budget::unlimited(),
-                    &CancelToken::new(),
-                    jobs,
-                );
+                    Run::new(&mut gov).jobs(jobs),
+                )
+                .expect("nothing to resume");
                 assert_eq!(
                     par.verdict, serial.verdict,
                     "{}: target {target:?} sources {sources:?} jobs {jobs}",
@@ -177,8 +198,7 @@ fn parallel_battery_matches_serial_on_catalog_queries() {
 #[test]
 fn parallel_audit_matches_serial_on_catalog() {
     for entry in olap_dimension_constraints::workload::catalog().into_iter().take(3) {
-        let mut gov = Governor::unlimited();
-        let serial = advisor::audit_governed(&entry.schema, &mut gov);
+        let serial = advisor::audit(&entry.schema);
         let par = advisor::audit_parallel(&entry.schema, Budget::unlimited(), &CancelToken::new(), 4);
         assert_eq!(par.unsatisfiable, serial.unsatisfiable, "{}", entry.name);
         assert_eq!(
@@ -214,8 +234,6 @@ fn assert_declaration_order(sweep: &olap_dimension_constraints::dimsat::Category
 /// completed variant reaches the serial verdicts.
 #[test]
 fn sweep_undecided_order_is_deterministic_across_drivers() {
-    use olap_dimension_constraints::govern::SharedGovernor;
-    use olap_dimension_constraints::plan::SharedFacts;
     let mut rng = StdRng::seed_from_u64(0x0DE7E12);
     for round in 0..4 {
         let ds = random_schema(
@@ -236,17 +254,12 @@ fn sweep_undecided_order_is_deterministic_across_drivers() {
 
         // Complete planned runs must agree with the unplanned serial
         // sweep despite executing in a different order.
-        let n = ds.hierarchy().num_categories();
-        let mut gov = Governor::unlimited();
-        let planned =
-            solver.unsatisfiable_categories_planned_governed(&mut gov, &SharedFacts::new(n));
+        let planned = sweep_with(&solver, &mut Governor::unlimited(), 1, true, None);
         assert!(planned.is_complete(), "round {round}");
         assert_eq!(planned.unsat, full.unsat, "round {round}");
         assert_eq!(planned.sat, full.sat, "round {round}");
         for jobs in [2usize, 4] {
-            let shared = SharedGovernor::new(Budget::unlimited(), CancelToken::new());
-            let planned =
-                solver.unsatisfiable_categories_planned_sharded(&shared, jobs, &SharedFacts::new(n));
+            let planned = sweep_with(&solver, &mut Governor::unlimited(), jobs, true, None);
             assert!(planned.is_complete(), "round {round} jobs {jobs}");
             assert_eq!(planned.unsat, full.unsat, "round {round} jobs {jobs}");
             assert_eq!(planned.sat, full.sat, "round {round} jobs {jobs}");
@@ -262,25 +275,18 @@ fn sweep_undecided_order_is_deterministic_across_drivers() {
                     "serial".into(),
                     Dimsat::new(&ds).with_budget(budget).unsatisfiable_categories(),
                 )];
-            let mut gov = Governor::from_budget(budget);
             variants.push((
                 "planned".into(),
-                solver.unsatisfiable_categories_planned_governed(&mut gov, &SharedFacts::new(n)),
+                sweep_with(&solver, &mut Governor::from_budget(budget), 1, true, None),
             ));
             for jobs in [2usize, 4] {
-                let shared = SharedGovernor::new(budget, CancelToken::new());
                 variants.push((
                     format!("sharded x{jobs}"),
-                    solver.unsatisfiable_categories_sharded(&shared, jobs),
+                    sweep_with(&solver, &mut Governor::from_budget(budget), jobs, false, None),
                 ));
-                let shared = SharedGovernor::new(budget, CancelToken::new());
                 variants.push((
                     format!("planned x{jobs}"),
-                    solver.unsatisfiable_categories_planned_sharded(
-                        &shared,
-                        jobs,
-                        &SharedFacts::new(n),
-                    ),
+                    sweep_with(&solver, &mut Governor::from_budget(budget), jobs, true, None),
                 ));
             }
             for (name, sweep) in &variants {
@@ -302,7 +308,7 @@ fn sweep_undecided_order_is_deterministic_across_drivers() {
                     continue;
                 };
                 let cp = solver.load_sweep_checkpoint(&cp.to_text()).expect("roundtrip");
-                let resumed = solver.resume_sweep(&cp).expect("same schema resumes");
+                let resumed = sweep_with(&solver, &mut solver.governor(), 1, false, Some(&cp));
                 assert!(resumed.is_complete(), "{ctx}");
                 assert_declaration_order(&resumed, &ctx);
                 assert_eq!(resumed.unsat, full.unsat, "{ctx}");
@@ -312,13 +318,13 @@ fn sweep_undecided_order_is_deterministic_across_drivers() {
     }
 }
 
-/// A fault plan armed on a `SharedGovernor` reaches every sweep worker;
+/// A fault plan armed on the caller's governor reaches every sweep worker;
 /// the interrupted sharded sweep leaves a checkpoint, and resuming it
 /// reproduces the serial sweep's verdicts — the parallel leg of the
 /// fault→checkpoint→resume parity matrix.
 #[test]
 fn faulted_parallel_sweep_resumes_to_serial_verdicts() {
-    use olap_dimension_constraints::govern::{FaultKind, FaultPlan, FaultTrigger, SharedGovernor};
+    use olap_dimension_constraints::govern::{FaultKind, FaultPlan, FaultTrigger};
     let mut rng = StdRng::seed_from_u64(0xFA17ED);
     let ds = random_schema(
         &SchemaGenParams {
@@ -345,9 +351,8 @@ fn faulted_parallel_sweep_resumes_to_serial_verdicts() {
             },
         )
         .with_max_injections(1);
-        let shared =
-            SharedGovernor::new(Budget::unlimited(), CancelToken::new()).with_fault_plan(plan);
-        let sweep = solver.unsatisfiable_categories_sharded(&shared, 4);
+        let mut gov = Governor::unlimited().with_fault_plan(plan);
+        let sweep = sweep_with(&solver, &mut gov, 4, false, None);
         if sweep.interrupted.is_none() {
             continue;
         }
@@ -357,7 +362,7 @@ fn faulted_parallel_sweep_resumes_to_serial_verdicts() {
         let cp = solver
             .load_sweep_checkpoint(&cp.to_text())
             .expect("roundtrip");
-        let resumed = solver.resume_sweep(&cp).expect("same schema resumes");
+        let resumed = sweep_with(&solver, &mut solver.governor(), 1, false, Some(&cp));
         assert!(resumed.is_complete(), "seed {seed}");
         assert_eq!(resumed.unsat, serial.unsat, "seed {seed}");
         assert_eq!(resumed.sat, serial.sat, "seed {seed}");
@@ -375,14 +380,12 @@ fn faulted_parallel_sweep_resumes_to_serial_verdicts() {
 #[test]
 fn faulted_parallel_audit_resumes_to_serial_report() {
     use olap_dimension_constraints::govern::{FaultKind, FaultPlan, FaultTrigger};
-    use olap_dimension_constraints::obs::Obs;
     let entry = olap_dimension_constraints::workload::catalog()
         .into_iter()
         .next()
         .expect("catalog is non-empty");
     let ds = entry.schema;
-    let mut gov = Governor::unlimited();
-    let serial = advisor::audit_governed(&ds, &mut gov);
+    let serial = advisor::audit(&ds);
     let mut resumed_runs = 0u32;
     for seed in 0..8u64 {
         // The serial-with-fault audit stands in for a faulted parallel
@@ -398,19 +401,13 @@ fn faulted_parallel_audit_resumes_to_serial_report() {
         )
         .with_max_injections(1);
         let mut gov = Governor::unlimited().with_fault_plan(plan);
-        let partial = advisor::audit_governed(&ds, &mut gov);
+        let partial = advisor::audit_run(&ds, Run::new(&mut gov)).expect("nothing to resume");
         let Some(cp) = partial.checkpoint else {
             continue;
         };
-        let resumed = advisor::audit_resume_parallel(
-            &ds,
-            &cp,
-            Budget::unlimited(),
-            &CancelToken::new(),
-            4,
-            Obs::none(),
-        )
-        .expect("same schema resumes");
+        let mut gov = Governor::unlimited();
+        let resumed = advisor::audit_run(&ds, Run::new(&mut gov).jobs(4).resume(Some(&cp)))
+            .expect("same schema resumes");
         assert!(resumed.interrupted.is_none(), "seed {seed}");
         assert_eq!(resumed.unsatisfiable, serial.unsatisfiable, "seed {seed}");
         assert_eq!(
