@@ -140,10 +140,62 @@ for schema in corpus/v1/*/schema.txt; do
       fi
       [ "$rc" -eq "$ref_rc" ] || { echo "$what: retried run exited $rc"; exit 1; }
       diff "$PAR/ref.txt" "$PAR/retry.txt" || { echo "$what: retried report diverged"; exit 1; }
+      # Through a fresh verdict repository, cold then warm: the same
+      # report and exit code as the repository-free run.
+      rm -rf "$PAR/repo"
+      for pass in cold warm; do
+        rc=0
+        $ODC check "$schema" $plan --jobs $jobs --repo "$PAR/repo" > "$PAR/run.txt" || rc=$?
+        [ "$rc" -eq "$ref_rc" ] || { echo "$what --repo ($pass): exit $rc"; exit 1; }
+        diff "$PAR/ref.txt" "$PAR/run.txt" || { echo "$what --repo ($pass): report diverged"; exit 1; }
+      done
+      # Budget-cut and retried through a fresh repository; a run still
+      # undecided leaves pending cursors that a rerun finishes.
+      rm -rf "$PAR/repo"
+      rc=0
+      $ODC check "$schema" $plan --jobs $jobs --repo "$PAR/repo" --node-limit 200 --retry 8 \
+        > "$PAR/retry.txt" || rc=$?
+      if [ "$rc" -eq 2 ]; then
+        rc=0
+        $ODC check "$schema" $plan --jobs $jobs --repo "$PAR/repo" > "$PAR/retry.txt" || rc=$?
+      else
+        grep -v '^([0-9]* attempts, budget doubled per retry)$' "$PAR/retry.txt" \
+          > "$PAR/retry-report.txt" || true
+        mv "$PAR/retry-report.txt" "$PAR/retry.txt"
+      fi
+      [ "$rc" -eq "$ref_rc" ] || { echo "$what --repo: retried run exited $rc"; exit 1; }
+      diff "$PAR/ref.txt" "$PAR/retry.txt" || { echo "$what --repo: retried report diverged"; exit 1; }
     done
   done
 done
-echo "battery parity OK: $(ls corpus/v1/*/schema.txt | wc -l) schemas x 4 runs, clean and retried"
+# Every corpus summarizability query, starved to one node and retried
+# serially, prints the clean answer apart from the attempt line; a run
+# still undecided leaves a checkpoint whose resume prints it.
+for dir in corpus/v1/*/; do
+  while read -r _ target _ sources; do
+    what="$dir: summarizable $target from $sources"
+    ref_rc=0
+    $ODC summarizable "$dir/schema.txt" "$target" $sources < /dev/null > "$PAR/ref.txt" \
+      || ref_rc=$?
+    rm -f "$PAR/cp.txt"
+    rc=0
+    $ODC summarizable "$dir/schema.txt" "$target" $sources --node-limit 1 --retry 8 \
+      --checkpoint "$PAR/cp.txt" < /dev/null > "$PAR/retry.txt" || rc=$?
+    if [ "$rc" -eq 2 ]; then
+      test -s "$PAR/cp.txt" || { echo "$what: undecided retry left no checkpoint"; exit 1; }
+      rc=0
+      $ODC summarizable "$dir/schema.txt" "$target" $sources --resume "$PAR/cp.txt" \
+        < /dev/null > "$PAR/retry.txt" || rc=$?
+    else
+      grep -v '^([0-9]* attempts, budget doubled per retry)$' "$PAR/retry.txt" \
+        > "$PAR/retry-report.txt" || true
+      mv "$PAR/retry-report.txt" "$PAR/retry.txt"
+    fi
+    [ "$rc" -eq "$ref_rc" ] || { echo "$what: retried run exited $rc"; exit 1; }
+    diff "$PAR/ref.txt" "$PAR/retry.txt" || { echo "$what: retried answer diverged"; exit 1; }
+  done < <(grep '^summarizable ' "$dir/queries.txt" || true)
+done
+echo "battery parity OK: $(ls corpus/v1/*/schema.txt | wc -l) schemas x 4 runs, clean, retried and through a repository"
 
 echo "== crash-recovery smoke (verdict repository) =="
 REPODIR="$(mktemp -d /tmp/odc-ci-repo.XXXXXX)"

@@ -27,6 +27,7 @@ impl PathAtom {
     }
 
     /// The final category of the path.
+    #[allow(clippy::unwrap_used, reason = "`PathAtom::new` asserts a non-empty path")]
     pub fn target(&self) -> Category {
         *self.path.last().unwrap()
     }
@@ -333,6 +334,7 @@ impl DimensionConstraint {
     /// # Panics
     /// Panics if the formula contains an atom rooted elsewhere, or if the
     /// root is `All`.
+    #[allow(clippy::panic, reason = "a documented precondition, like the asserts beside it")]
     pub fn new(root: Category, formula: Constraint) -> Self {
         assert!(
             !root.is_all(),

@@ -25,10 +25,10 @@ pub fn rolls_up_to(g: &HierarchySchema, c: Category, ci: Category) -> Constraint
         disjuncts.push(Constraint::path(p.to_vec()));
         ControlFlow::Continue(())
     });
-    match disjuncts.len() {
-        0 => Constraint::False,
-        1 => disjuncts.pop().unwrap(),
-        _ => Constraint::Or(disjuncts),
+    if disjuncts.len() > 1 {
+        Constraint::Or(disjuncts)
+    } else {
+        disjuncts.pop().unwrap_or(Constraint::False)
     }
 }
 
@@ -67,10 +67,10 @@ pub fn rolls_up_through(
         }
         ControlFlow::Continue(())
     });
-    match disjuncts.len() {
-        0 => Constraint::False,
-        1 => disjuncts.pop().unwrap(),
-        _ => Constraint::Or(disjuncts),
+    if disjuncts.len() > 1 {
+        Constraint::Or(disjuncts)
+    } else {
+        disjuncts.pop().unwrap_or(Constraint::False)
     }
 }
 

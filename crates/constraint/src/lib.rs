@@ -60,6 +60,8 @@
 //! assert_eq!(c.root(), store);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod ast;
 pub mod eval;
 pub mod expand;

@@ -98,7 +98,7 @@ impl<'a> Lexer<'a> {
         while self.pos < bytes.len() {
             let start = self.pos;
             let rest = &self.src[self.pos..];
-            let ch = rest.chars().next().unwrap();
+            let Some(ch) = rest.chars().next() else { break };
             let tok = match ch {
                 c if c.is_whitespace() => {
                     self.pos += c.len_utf8();
@@ -306,29 +306,29 @@ impl<'a> Parser<'a> {
     }
 
     fn or(&mut self) -> Result<Constraint, ParseError> {
-        let mut parts = vec![self.and()?];
+        let first = self.and()?;
+        if self.peek() != Some(&Tok::Or) {
+            return Ok(first);
+        }
+        let mut parts = vec![first];
         while self.peek() == Some(&Tok::Or) {
             self.at += 1;
             parts.push(self.and()?);
         }
-        Ok(if parts.len() == 1 {
-            parts.pop().unwrap()
-        } else {
-            Constraint::Or(parts)
-        })
+        Ok(Constraint::Or(parts))
     }
 
     fn and(&mut self) -> Result<Constraint, ParseError> {
-        let mut parts = vec![self.unary()?];
+        let first = self.unary()?;
+        if self.peek() != Some(&Tok::And) {
+            return Ok(first);
+        }
+        let mut parts = vec![first];
         while self.peek() == Some(&Tok::And) {
             self.at += 1;
             parts.push(self.unary()?);
         }
-        Ok(if parts.len() == 1 {
-            parts.pop().unwrap()
-        } else {
-            Constraint::And(parts)
-        })
+        Ok(Constraint::And(parts))
     }
 
     fn unary(&mut self) -> Result<Constraint, ParseError> {

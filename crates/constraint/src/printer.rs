@@ -27,8 +27,7 @@ fn precedence(c: &Constraint) -> u8 {
 }
 
 fn needs_quotes(v: &str) -> bool {
-    v.is_empty()
-        || !v.chars().next().unwrap().is_alphabetic()
+    !v.chars().next().is_some_and(char::is_alphabetic)
         || !v.chars().all(char::is_alphanumeric)
         || matches!(v, "true" | "false" | "one")
 }

@@ -58,10 +58,10 @@ pub fn fold(c: &Constraint) -> Constraint {
                     other => out.push(other),
                 }
             }
-            match out.len() {
-                0 => Constraint::True,
-                1 => out.pop().unwrap(),
-                _ => Constraint::And(out),
+            if out.len() > 1 {
+                Constraint::And(out)
+            } else {
+                out.pop().unwrap_or(Constraint::True)
             }
         }
         Constraint::Or(xs) => {
@@ -74,10 +74,10 @@ pub fn fold(c: &Constraint) -> Constraint {
                     other => out.push(other),
                 }
             }
-            match out.len() {
-                0 => Constraint::False,
-                1 => out.pop().unwrap(),
-                _ => Constraint::Or(out),
+            if out.len() > 1 {
+                Constraint::Or(out)
+            } else {
+                out.pop().unwrap_or(Constraint::False)
             }
         }
         Constraint::Implies(a, b) => match (fold(a), fold(b)) {
@@ -122,10 +122,10 @@ pub fn fold(c: &Constraint) -> Constraint {
                     unknown.into_iter().map(Constraint::not).collect(),
                 ));
             }
-            match unknown.len() {
-                0 => Constraint::False,
-                1 => unknown.pop().unwrap(),
-                _ => Constraint::ExactlyOne(unknown),
+            if unknown.len() > 1 {
+                Constraint::ExactlyOne(unknown)
+            } else {
+                unknown.pop().unwrap_or(Constraint::False)
             }
         }
     }

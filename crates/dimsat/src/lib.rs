@@ -89,7 +89,7 @@ pub use implication::{
     schema_fingerprint, CacheSession, ImplicationCache, ImplicationOutcome, ImplicationVerdict,
 };
 pub use options::{DimsatOptions, TopOrder};
-pub use run::Run;
+pub use run::{AuditItem, ItemAnswer, ItemCache, Run};
 pub use solver::{CategorySweep, Dimsat, DimsatOutcome, Verdict};
 pub use stats::SearchStats;
 pub use trace::TraceEvent;

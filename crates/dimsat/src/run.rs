@@ -7,16 +7,75 @@
 //! whether the battery is planned, caller-owned warm state, and a
 //! checkpoint to resume from — next to the governor that meters the
 //! whole battery.
+//!
+//! One piece of warm state is an [`ItemCache`]: a per-item verdict
+//! store (the on-disk verdict repository, or an in-memory fake in
+//! tests) that the sweep and the audit ask before solving an item and
+//! tell what they decide.
 
 use crate::implication::CacheSession;
-use odc_govern::Governor;
+use odc_constraint::DimensionSchema;
+use odc_govern::{Governor, InterruptReason};
+use odc_hierarchy::Category;
 use odc_plan::{SchemaPlan, SharedFacts};
+
+/// One item of the advisor audit's four stages.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum AuditItem {
+    /// Whether a category is satisfiable (the sweep).
+    Sat(Category),
+    /// Whether `Σ[i]` is implied by the rest of `Σ` (the redundancy stage).
+    Redundant(usize),
+    /// How many frozen dimensions a bottom category has (the census).
+    Census(Category),
+    /// Whether `coarse` is summarizable from `{fine}` (the rewrite matrix).
+    Rewrite(Category, Category),
+}
+
+/// A decided audit item.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ItemAnswer {
+    /// `Sat`: satisfiable.
+    Sat,
+    /// `Sat`: unsatisfiable.
+    Unsat,
+    /// `Sat`: structurally unexplorable (a fan-out overflow), for good.
+    Aborted(InterruptReason),
+    /// `Census`: the number of frozen dimensions.
+    Count(usize),
+    /// `Redundant`: implied by the rest; `Rewrite`: a safe rewrite.
+    Holds,
+    /// `Redundant`: not implied; `Rewrite`: not safe, with the failing
+    /// bottom when it is known.
+    Fails(Option<Category>),
+}
+
+/// A per-item verdict cache for the audit and the sweep.
+///
+/// The drivers ask [`ItemCache::get`] before building any solver state
+/// for an item and [`ItemCache::put`] every item they decide. An
+/// interrupted census or rewrite item leaves its resume cursor (a
+/// checkpoint's text form) with [`ItemCache::put_pending`]; the next
+/// run at the same item resumes from [`ItemCache::pending`]. An answer
+/// of the wrong shape for its item counts as a miss. Implementations
+/// key items by `ds`; writes may fail silently (a lost write is a miss
+/// next time, never a wrong answer).
+pub trait ItemCache: Sync {
+    /// The decided answer for `item`, if stored.
+    fn get(&self, ds: &DimensionSchema, item: AuditItem) -> Option<ItemAnswer>;
+    /// Stores a decided answer (clearing any pending cursor).
+    fn put(&self, ds: &DimensionSchema, item: AuditItem, answer: ItemAnswer);
+    /// The resume cursor an interrupted run left for `item`.
+    fn pending(&self, ds: &DimensionSchema, item: AuditItem) -> Option<String>;
+    /// Stores the resume cursor of an interrupted item.
+    fn put_pending(&self, ds: &DimensionSchema, item: AuditItem, cursor: String);
+}
 
 /// How one battery runs. `C` is the family's checkpoint type.
 ///
 /// [`Run::new`] is the reference run: serial on the caller's governor,
 /// unplanned (schema order, no aliases, no shared facts, no witness
-/// pools), no memo-cache, nothing to resume.
+/// pools), no memo-cache, no item cache, nothing to resume.
 pub struct Run<'a, C> {
     /// The budget, cancel token, observer and fault plan of the whole
     /// battery. With `jobs > 1` the workers charge a shared budget
@@ -38,6 +97,10 @@ pub struct Run<'a, C> {
     /// seeded from a repository); a planned run starts empty ones when
     /// this is `None`. Unplanned runs consult no facts.
     pub facts: Option<&'a SharedFacts>,
+    /// A caller-owned per-item verdict cache, asked before every sweep
+    /// and audit item is solved and told every decided one. Other
+    /// batteries ignore it.
+    pub cache: Option<&'a dyn ItemCache>,
     /// The checkpoint of an interrupted run of the same battery.
     pub resume: Option<&'a C>,
 }
@@ -52,6 +115,7 @@ impl<'a, C> Run<'a, C> {
             session: None,
             schema_plan: None,
             facts: None,
+            cache: None,
             resume: None,
         }
     }
@@ -84,6 +148,12 @@ impl<'a, C> Run<'a, C> {
     /// Starts from caller-owned shared facts.
     pub fn facts(mut self, facts: &'a SharedFacts) -> Self {
         self.facts = Some(facts);
+        self
+    }
+
+    /// Answers and records items through `cache`.
+    pub fn cache(mut self, cache: &'a dyn ItemCache) -> Self {
+        self.cache = Some(cache);
         self
     }
 

@@ -2,7 +2,7 @@
 
 use crate::checkpoint::{options_key, SolveCheckpoint, SweepCheckpoint, SOLVE_KIND, SWEEP_KIND};
 use crate::options::{DimsatOptions, TopOrder};
-use crate::run::Run;
+use crate::run::{AuditItem, ItemAnswer, Run};
 use crate::stats::SearchStats;
 use crate::trace::TraceEvent;
 use odc_constraint::DimensionSchema;
@@ -172,6 +172,28 @@ enum Cell {
     /// Budget/cancellation interrupt; carries the mid-solve cursor
     /// (boxed: the cursor dwarfs the other variants).
     Undecided(Option<Box<SolveCheckpoint>>),
+}
+
+impl Cell {
+    /// A cached `Sat` item's cell; another answer shape is a miss.
+    fn cached(answer: ItemAnswer) -> Option<Cell> {
+        match answer {
+            ItemAnswer::Sat => Some(Cell::Sat),
+            ItemAnswer::Unsat => Some(Cell::Unsat),
+            ItemAnswer::Aborted(r) => Some(Cell::Aborted(r)),
+            _ => None,
+        }
+    }
+
+    /// The answer a decided cell stores.
+    fn answer(&self) -> Option<ItemAnswer> {
+        match self {
+            Cell::Sat => Some(ItemAnswer::Sat),
+            Cell::Unsat => Some(ItemAnswer::Unsat),
+            Cell::Aborted(r) => Some(ItemAnswer::Aborted(*r)),
+            Cell::Undecided(_) => None,
+        }
+    }
 }
 
 /// The DIMSAT solver: category satisfiability over a dimension schema.
@@ -366,6 +388,10 @@ impl<'a> Dimsat<'a> {
     /// category's cursor is kept ([`Self::sweep_checkpoint`] packages
     /// it).
     ///
+    /// `run.cache` answers each category it holds before any solve (a
+    /// planned run notes the answer in the shared facts) and is told
+    /// every category the sweep decides.
+    ///
     /// `run.resume` carries decided and aborted verdicts forward and
     /// resumes the mid-solve category exactly where it stopped; a
     /// checkpoint from another schema or other options is refused.
@@ -418,8 +444,10 @@ impl<'a> Dimsat<'a> {
             (0..cats.len()).collect()
         };
         let order = order.into_iter().filter(|&i| carried[i].is_none());
-        let ran = run_items(run.gov, run.jobs, cats.len(), order, "category_sweep", |i, gov| {
-            let c = cats[i];
+        // One category the item cache did not answer: from the shared
+        // facts when planned, else solved (resuming `inner` when it is
+        // this category's cursor).
+        let decide = |c: Category, gov: &mut Governor| {
             if let (Some(f), Some(exposed)) = (facts, &exposed) {
                 let known = if exposed.contains(c) {
                     None
@@ -469,6 +497,26 @@ impl<'a> Dimsat<'a> {
                     Flow::Stop(intr),
                 ),
             }
+        };
+        let (ds, cache) = (self.ds, run.cache);
+        let ran = run_items(run.gov, run.jobs, cats.len(), order, "category_sweep", |i, gov| {
+            let c = cats[i];
+            let item = AuditItem::Sat(c);
+            if let Some(cell) = cache.and_then(|k| k.get(ds, item)).and_then(Cell::cached) {
+                if let Some(f) = facts {
+                    match cell {
+                        Cell::Sat => f.note_sat(c),
+                        Cell::Unsat => f.note_unsat(c),
+                        _ => {}
+                    }
+                }
+                return ((cell, SearchStats::default()), Flow::Next);
+            }
+            let (item_out, flow) = decide(c, gov);
+            if let (Some(k), Some(answer)) = (cache, item_out.0.answer()) {
+                k.put(ds, item, answer);
+            }
+            (item_out, flow)
         });
         sweep.interrupted = ran.interrupt.map(|(_, e)| e);
         for (i, (&c, fresh)) in cats.iter().zip(ran.items).enumerate() {

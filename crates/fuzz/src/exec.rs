@@ -596,14 +596,20 @@ fn fault_resume(ds: &DimensionSchema, case: &FuzzCase) -> Vec<PairResult> {
         .collect()
 }
 
-/// Plain schema audit vs the verdict-repository one, cold then warm.
-/// The repo drivers promise a byte-identical rendered report, so the
-/// comparison is over a digest of the full render.
+/// Plain schema audit vs audits through the verdict repository: the
+/// reference (serial, unplanned) audit cold then warm, a planned
+/// `jobs = 3` audit cold then warm on a second store, and a planned
+/// `jobs = 3` audit on a third store holding the sweep's `sat` records
+/// only. The repository promises a byte-identical rendered report, so
+/// each comparison is over a digest of the full render; a repository
+/// audit that runs out of budget (parallel workers race for it) is
+/// non-comparable.
 fn repo_warm_cold(
     ds: &DimensionSchema,
     case: &FuzzCase,
     ctx: &PairContext<'_>,
 ) -> Result<Vec<PairResult>, PairError> {
+    use odc_core::repo::VerdictRepo;
     let mut pgov = Governor::from_budget(case_budget());
     let plain = advisor::audit_run(ds, Run::new(&mut pgov))
         .map_err(|e| PairError::Setup(e.to_string()))?
@@ -618,35 +624,57 @@ fn repo_warm_cold(
             right: u,
         }]);
     }
-    let dir = ctx.scratch.join(format!("repo-case{}", case.id));
-    std::fs::create_dir_all(&dir).map_err(|e| PairError::Setup(e.to_string()))?;
-    let repo = odc_core::repo::VerdictRepo::open(&dir, Obs::none(), None)
-        .map_err(|e| PairError::Setup(e.to_string()))?;
-    let mut gov = Governor::from_budget(case_budget());
-    let cold = odc_core::repo::drivers::audit_with_repo(ds, &repo, &mut gov).render(ds);
-    let mut gov = Governor::from_budget(case_budget());
-    let warm = odc_core::repo::drivers::audit_with_repo(ds, &repo, &mut gov).render(ds);
-    let _ = std::fs::remove_dir_all(&dir);
-    let obs_for = |render: &str, reference: &str| -> Observation {
-        let mut o = Observation::decided(format!("audit:{:016x}", fnv64(render)));
-        if render != reference {
-            o.note = first_diff(reference, render);
-        }
-        o
+    let open = |tag: &str| {
+        let dir = ctx.scratch.join(format!("repo-case{}-{tag}", case.id));
+        std::fs::create_dir_all(&dir).map_err(|e| PairError::Setup(e.to_string()))?;
+        let repo = VerdictRepo::open(&dir, Obs::none(), None)
+            .map_err(|e| PairError::Setup(e.to_string()))?;
+        Ok::<_, PairError>((dir, repo))
     };
+    let audit = |repo: &VerdictRepo, planned: bool| -> Result<Observation, PairError> {
+        let mut gov = Governor::from_budget(case_budget());
+        let run = Run::new(&mut gov).jobs(if planned { 3 } else { 1 }).planned(planned);
+        let report = advisor::audit_run(ds, run.cache(repo))
+            .map_err(|e| PairError::Setup(e.to_string()))?;
+        if report.interrupted.is_some() {
+            return Ok(Observation::unknown("repository audit interrupted"));
+        }
+        let render = report.render(ds);
+        let mut o = Observation::decided(format!("audit:{:016x}", fnv64(&render)));
+        if render != plain {
+            o.note = first_diff(&plain, &render);
+        }
+        Ok(o)
+    };
+    let mut right = Vec::new();
+    let (dir, repo) = open("serial")?;
+    right.push(("audit cold", audit(&repo, false)?));
+    right.push(("audit warm", audit(&repo, false)?));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (dir, repo) = open("planned")?;
+    right.push(("audit planned jobs 3 cold", audit(&repo, true)?));
+    right.push(("audit planned jobs 3 warm", audit(&repo, true)?));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (dir, repo) = open("sat-only")?;
+    let mut gov = Governor::from_budget(case_budget());
+    let sweep = Dimsat::new(ds)
+        .unsatisfiable_categories_run(Run::new(&mut gov).cache(&repo))
+        .map_err(|e| PairError::Setup(e.to_string()))?;
+    let sat_warm = match sweep.interrupted {
+        Some(_) => Observation::unknown("sweep interrupted"),
+        None => audit(&repo, true)?,
+    };
+    right.push(("audit planned jobs 3 sat-warm", sat_warm));
+    let _ = std::fs::remove_dir_all(&dir);
     let left = Observation::decided(format!("audit:{:016x}", fnv64(&plain)));
-    Ok(vec![
-        PairResult {
-            query: "audit cold".into(),
+    Ok(right
+        .into_iter()
+        .map(|(query, right)| PairResult {
+            query: query.into(),
             left: left.clone(),
-            right: obs_for(&cold, &plain),
-        },
-        PairResult {
-            query: "audit warm".into(),
-            left,
-            right: obs_for(&warm, &plain),
-        },
-    ])
+            right,
+        })
+        .collect())
 }
 
 fn fnv64(s: &str) -> u64 {

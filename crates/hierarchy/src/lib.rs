@@ -44,6 +44,8 @@
 //! assert_eq!(schema.bottom_categories(), vec![store]);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod catset;
 pub mod dot;
 pub mod error;

@@ -21,6 +21,10 @@ impl Category {
     /// store categories densely (e.g. [`CatSet`]); prefer obtaining handles
     /// from a builder or schema.
     #[inline]
+    #[allow(
+        clippy::expect_used,
+        reason = "indices come from a schema's dense category table, far below 2^32"
+    )]
     pub fn from_index(i: usize) -> Category {
         Category(u32::try_from(i).expect("category index overflow"))
     }

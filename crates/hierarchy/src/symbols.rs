@@ -33,6 +33,10 @@ impl Interner {
     }
 
     /// Interns `name`, returning its symbol. Idempotent.
+    #[allow(
+        clippy::expect_used,
+        reason = "one symbol per distinct name held in memory, far below 2^32"
+    )]
     pub fn intern(&mut self, name: &str) -> u32 {
         if let Some(&sym) = self.index.get(name) {
             return sym;

@@ -19,6 +19,10 @@ impl Member {
 
     /// Builds a handle from a raw index.
     #[inline]
+    #[allow(
+        clippy::expect_used,
+        reason = "indices come from an instance's dense member table, far below 2^32"
+    )]
     pub fn from_index(i: usize) -> Member {
         Member(u32::try_from(i).expect("member index overflow"))
     }

@@ -50,6 +50,8 @@
 //! assert!(d.rolls_up_to_category(s1, city));
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod builder;
 pub mod hetero;
 pub mod instance;

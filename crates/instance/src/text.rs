@@ -84,6 +84,7 @@ pub fn parse_instance(
     let lines = scan(src)?;
     let mut ib = DimensionInstance::builder(schema.clone());
     // Pass 1: members.
+    let mut members = Vec::with_capacity(lines.len());
     for l in &lines {
         let m = &l.member;
         let cat =
@@ -99,11 +100,10 @@ pub fn parse_instance(
                 message: format!("duplicate member key `{}`", m.key),
             });
         }
-        ib.member_named(&m.key, cat, m.name.as_deref().unwrap_or(&m.key));
+        members.push(ib.member_named(&m.key, cat, m.name.as_deref().unwrap_or(&m.key)));
     }
     // Pass 2: links.
-    for l in &lines {
-        let child = ib.member_by_key(&l.member.key).unwrap();
+    for (l, &child) in lines.iter().zip(&members) {
         for p in &l.member.parents {
             let parent = resolve_parent(&ib, p).ok_or_else(|| InstanceParseError::Syntax {
                 line: l.number,

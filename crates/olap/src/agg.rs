@@ -30,12 +30,12 @@ impl AggFn {
         if values.is_empty() {
             return None;
         }
-        Some(match self {
-            AggFn::Sum => values.iter().sum(),
-            AggFn::Count => values.len() as i64,
-            AggFn::Min => *values.iter().min().unwrap(),
-            AggFn::Max => *values.iter().max().unwrap(),
-        })
+        match self {
+            AggFn::Sum => Some(values.iter().sum()),
+            AggFn::Count => Some(values.len() as i64),
+            AggFn::Min => values.iter().min().copied(),
+            AggFn::Max => values.iter().max().copied(),
+        }
     }
 
     /// The combining function `af^c` used when re-aggregating partial

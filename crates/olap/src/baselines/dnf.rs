@@ -78,49 +78,46 @@ pub fn dnf_flatten(d: &DimensionInstance) -> DnfReport {
             let between = keep
                 .iter()
                 .any(|&c3| c3 != c1 && c3 != c2 && covers(c1, c3) && covers(c3, c2));
-            if !between {
-                nb.edge(map[c1.index()].unwrap(), map[c2.index()].unwrap());
+            if let (false, Some(n1), Some(n2)) = (between, map[c1.index()], map[c2.index()]) {
+                nb.edge(n1, n2);
             }
         }
     }
+    #[allow(clippy::expect_used, reason = "every kept category covers All")]
     let new_schema = Arc::new(
         nb.build()
             .expect("kept categories always include All and reach it"),
     );
+    // The builder keeps category indices, so `map` is old → new; `back`
+    // is new → old.
+    let mut back = vec![Category::ALL; new_schema.num_categories()];
+    for (old, new) in map.iter().enumerate() {
+        if let Some(new) = new {
+            back[new.index()] = Category::from_index(old);
+        }
+    }
 
     // New instance: members of kept categories, linked along the new
     // schema's edges via the rollup table.
     let mut ib = DimensionInstance::builder(Arc::clone(&new_schema));
     let mut new_members = vec![None; d.num_members()];
     for &c in &keep {
+        let Some(nc) = map[c.index()] else { continue };
         if c.is_all() {
             new_members[0] = Some(ib.all());
             continue;
         }
-        let nc = new_schema.category_by_name(g.name(c)).unwrap();
         for &m in d.members_of(c) {
             new_members[m.index()] = Some(ib.member_named(d.key(m), nc, d.name(m)));
         }
     }
     for &c in &keep {
-        let nc = if c.is_all() {
-            Category::ALL
-        } else {
-            new_schema.category_by_name(g.name(c)).unwrap()
-        };
-        let parent_cats: Vec<Category> = new_schema.parents(nc).to_vec();
+        let Some(nc) = map[c.index()] else { continue };
         for &m in d.members_of(c) {
-            let nm = new_members[m.index()].unwrap();
-            for &npc in &parent_cats {
-                // Resolve the parent category back to the old schema.
-                let old_pc = if npc.is_all() {
-                    Category::ALL
-                } else {
-                    g.category_by_name(new_schema_name(&new_schema, npc))
-                        .unwrap()
-                };
-                if let Some(anc) = rollup.ancestor_in(m, old_pc) {
-                    let target = new_members[anc.index()].unwrap();
+            let Some(nm) = new_members[m.index()] else { continue };
+            for &npc in new_schema.parents(nc) {
+                let anc = rollup.ancestor_in(m, back[npc.index()]);
+                if let Some(target) = anc.and_then(|a| new_members[a.index()]) {
                     ib.link(nm, target);
                 }
             }
@@ -136,10 +133,6 @@ pub fn dnf_flatten(d: &DimensionInstance) -> DnfReport {
         valid,
         homogeneous,
     }
-}
-
-fn new_schema_name(s: &HierarchySchema, c: Category) -> &str {
-    s.name(c)
 }
 
 #[cfg(test)]

@@ -57,7 +57,7 @@ pub fn cube_view(
     let _ = d;
     let cells = groups
         .into_iter()
-        .map(|(m, vs)| (m, agg.apply(&vs).expect("non-empty group")))
+        .filter_map(|(m, vs)| Some((m, agg.apply(&vs)?)))
         .collect();
     CubeView {
         category: c,

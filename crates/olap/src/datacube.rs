@@ -198,7 +198,7 @@ pub fn cuboid(
         agg,
         cells: groups
             .into_iter()
-            .map(|(k, vs)| (k, agg.apply(&vs).expect("non-empty group")))
+            .filter_map(|(k, vs)| Some((k, agg.apply(&vs)?)))
             .collect(),
     }
 }

@@ -24,6 +24,8 @@
 //! Both come with cost metrics (members added, categories lost, cube-view
 //! sparsity), which experiment E12 reports.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod agg;
 pub mod baselines;
 pub mod cube;

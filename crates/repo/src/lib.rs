@@ -18,9 +18,9 @@
 //!   regions its proof examined. A schema edit invalidates only the
 //!   footprint-overlapping verdicts; the rest migrate to the edited
 //!   schema's fingerprint unchanged.
-//! * [`drivers`] — repository-backed counterparts of the audit and
-//!   rewrite queries: hits answer from disk, misses solve and store,
-//!   and interrupted solves persist their PR 4 checkpoint cursors as
+//! * [`drivers`] — the repository as the audit's per-item cache
+//!   (`odc_dimsat::ItemCache`): hits answer from disk, misses solve and
+//!   store, and interrupted items persist their checkpoint cursors as
 //!   pending records that warm start the next attempt.
 //!
 //! Fault injection from `odc-govern` (`IoFaultPlan`: torn writes,
@@ -39,9 +39,7 @@ pub mod fsutil;
 pub mod record;
 pub mod store;
 
-pub use drivers::{
-    audit_with_repo, rewrite_with_repo, store_report, sub_key, warm_audit_from_repo, warm_facts,
-};
+pub use drivers::{audit_with_repo, sub_key};
 pub use crc::crc32;
 pub use footprint::{
     region, regions, summarizable_footprint, survives, SchemaSummary, STRUCTURE_SENTINEL,

@@ -12,7 +12,9 @@ use crate::catalog::CatalogEntry;
 use crate::protocol::{Command, Response};
 use crate::server::Shared;
 use odc_core::constraint::{parse_constraint, printer::display_dc};
-use odc_core::dimsat::{implies_memo_session, Dimsat, DimsatOptions, ImplicationVerdict, Verdict};
+use odc_core::dimsat::{
+    implies_memo_session, Dimsat, DimsatOptions, ImplicationVerdict, Run, Verdict,
+};
 use odc_core::obs::{Obs, Observer, SolveEnd, SolveStart};
 use odc_core::summarizability::advisor;
 use odc_core::summarizability::{is_summarizable_in_schema_session, SummarizabilityVerdict};
@@ -311,23 +313,19 @@ pub(crate) fn execute_solve(
             shared, entry, *ask, request_id, worker_id, token,
             |entry, gov| {
                 let ds = entry.schema();
-                // With a repository, the audit answers warm from disk
-                // (and persists fresh verdicts across restarts); the
-                // in-memory memo path serves the ephemeral case.
-                let report = match &shared.repo {
-                    Some(r) => odc_core::repo::audit_with_repo(ds, r, gov),
-                    // Planned, through the entry's warm cache, battery
-                    // plan, and fact scratchpad: a second audit of a
-                    // resident schema re-plans nothing and re-proves no
-                    // category's satisfiability.
-                    None => advisor::audit_planned_memo(
-                        ds,
-                        gov,
-                        entry.cache(),
-                        entry.plan(),
-                        entry.facts(),
-                    ),
-                };
+                // Planned, through the entry's warm cache, battery plan
+                // and fact scratchpad: a second audit of a resident schema
+                // re-plans nothing and re-proves no category's
+                // satisfiability. A repository answers and records every
+                // item across restarts.
+                let mut run = Run::new(gov)
+                    .planned(true)
+                    .session(entry.cache().begin_session())
+                    .warm(entry.plan(), entry.facts());
+                if let Some(r) = &shared.repo {
+                    run = run.cache(&**r);
+                }
+                let report = advisor::audit_run(ds, run).map_err(|e| e.to_string())?;
                 let mut payload = report.render(ds);
                 let unknown = report.interrupted.as_ref().map(|i| i.to_string());
                 if unknown.is_none() {

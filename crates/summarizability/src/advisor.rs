@@ -27,12 +27,15 @@
 //! [`audit_planned_governed`], [`audit_planned_memo`] and
 //! [`audit_parallel`] are one-line wrappers over [`audit_run`].
 
-use crate::checkpoint::{AuditCheckpoint, AuditStage};
-use crate::theorem1::{summarizability_constraints, Battery, Shortcuts, WitnessPools};
+use crate::checkpoint::{load_battery_checkpoint, AuditCheckpoint, AuditStage};
+use crate::theorem1::{
+    check_battery_checkpoint, summarizability_constraints, Battery, Shortcuts,
+    SummarizabilityVerdict, WitnessPools,
+};
 use odc_constraint::{Constraint, DimensionConstraint, DimensionSchema};
 use odc_dimsat::{
-    implication, CacheSession, Dimsat, DimsatOptions, ImplicationCache, Run, SearchStats,
-    SweepCheckpoint,
+    implication, AuditItem, CacheSession, Dimsat, DimsatOptions, ImplicationCache, ItemAnswer,
+    ItemCache, Run, SearchStats, SweepCheckpoint,
 };
 use odc_govern::{
     run_items, Budget, CancelToken, CheckpointError, Flow, Governor, Interrupt, InterruptReason,
@@ -145,9 +148,7 @@ impl SchemaReport {
 }
 
 /// The (coarse, fine) pairs the rewrite matrix examines, in the fixed
-/// order both the serial and parallel audits use. Public so
-/// repository-backed audits can key cached verdicts per pair while
-/// reporting findings in the identical order.
+/// order every audit reports them in.
 pub fn rewrite_pairs(g: &HierarchySchema) -> Vec<(Category, Category)> {
     let mut pairs = Vec::new();
     for fine in g.categories() {
@@ -185,6 +186,13 @@ pub fn audit(ds: &DimensionSchema) -> SchemaReport {
 ///   `summarizability_matrix`, one `worker_finished` event per worker).
 /// * `run.session` answers the rewrites matrix's repeated implications
 ///   through a memo-cache.
+/// * `run.cache` answers every item it holds before any solver state is
+///   built and is told every item decided, also by a worker past an
+///   interrupt. An interrupted census or rewrite item leaves its cursor
+///   there as a pending record, and the next run resumes that item from
+///   it. Planned, cached sweep and census answers go into the shared
+///   facts; a cached census has a count but no witness pool, so the
+///   rewrites that would use its pool solve instead.
 ///
 /// Findings are reported in the same order in every mode, so complete
 /// runs render byte-identically. An interrupt yields a partial-but-sound
@@ -270,6 +278,7 @@ fn drive_checked(
         session,
         schema_plan,
         facts,
+        cache,
         resume,
     } = run;
     let local_plan;
@@ -298,6 +307,7 @@ fn drive_checked(
         sp,
         facts,
         session,
+        cache,
         batched: AtomicU64::new(0),
         plan: PlanStats::default(),
         report: SchemaReport::default(),
@@ -329,6 +339,16 @@ fn drive_checked(
 /// when the item was interrupted) and the counters it cost.
 type Item<F> = (Option<F>, SearchStats);
 
+/// A cached `Redundant` or `Rewrite` answer as the finding; another
+/// answer shape is a miss.
+fn holds(answer: ItemAnswer) -> Option<bool> {
+    match answer {
+        ItemAnswer::Holds => Some(true),
+        ItemAnswer::Fails(_) => Some(false),
+        _ => None,
+    }
+}
+
 /// The state of one audit run.
 struct Audit<'a> {
     ds: &'a DimensionSchema,
@@ -339,6 +359,7 @@ struct Audit<'a> {
     /// The shared facts; `Some` exactly when the run is planned.
     facts: Option<&'a SharedFacts>,
     session: Option<CacheSession<'a>>,
+    cache: Option<&'a dyn ItemCache>,
     /// Rewrite-matrix answers taken from the census pools.
     batched: AtomicU64,
     plan: PlanStats,
@@ -409,6 +430,7 @@ impl Audit<'_> {
             session: None,
             schema_plan: self.sp,
             facts: self.facts,
+            cache: self.cache,
             resume,
         })?;
         self.report.stats.absorb(&sweep.stats);
@@ -434,13 +456,25 @@ impl Audit<'_> {
     fn redundancy(&mut self, gov: &mut Governor, first: usize) -> bool {
         let ds = self.ds;
         let cs = ds.constraints();
-        let plan = self.sp.map(|sp| &sp.battery);
+        let (plan, cache) = (self.sp.map(|sp| &sp.battery), self.cache);
+        let store = |i: usize, implied: bool| {
+            if let Some(k) = cache {
+                let answer = if implied { ItemAnswer::Holds } else { ItemAnswer::Fails(None) };
+                k.put(ds, AuditItem::Redundant(i), answer);
+            }
+        };
         let redundant = |i: usize, gov: &mut Governor| {
+            if let Some(v) = cache.and_then(|k| k.get(ds, AuditItem::Redundant(i))).and_then(holds) {
+                return ((Some(v), SearchStats::default()), Flow::Next);
+            }
             let mut rest: Vec<DimensionConstraint> = cs.to_vec();
             rest.remove(i);
             let reduced = DimensionSchema::new(ds.hierarchy_arc(), rest);
             let opts = DimsatOptions::default();
             let out = implication::implies_governed(&reduced, &cs[i], opts, gov);
+            if out.interrupt().is_none() {
+                store(i, out.implied());
+            }
             let flow = out.interrupt().map_or(Flow::Next, Flow::Stop);
             ((out.interrupt().is_none().then(|| out.implied()), out.stats), flow)
         };
@@ -463,8 +497,11 @@ impl Audit<'_> {
                 } else {
                     ran.items[j].as_ref().and_then(|(v, _)| *v)
                 };
-                if canonical.is_some() {
+                if let Some(v) = canonical {
                     ran.items[k] = Some((canonical, SearchStats::default()));
+                    if cache.is_some_and(|c| c.get(ds, AuditItem::Redundant(k)).is_none()) {
+                        store(k, v);
+                    }
                 }
             }
         }
@@ -482,35 +519,65 @@ impl Audit<'_> {
     /// census entry (and empty pool) is free.
     fn census(&mut self, gov: &mut Governor, first: usize, pools: &mut WitnessPools) -> bool {
         let bottoms = bottom_categories(self.ds.hierarchy());
-        let (solver, sp, facts) = (&self.solver, self.sp, self.facts);
+        let (ds, solver, sp, facts, cache) = (self.ds, &self.solver, self.sp, self.facts, self.cache);
         if sp.is_some() {
             self.plan.queries += bottoms.len() as u64;
         }
         let n = bottoms.len();
+        // A finding is the count plus, when enumerated here, the pool.
         let mut ran = run_items(gov, self.jobs, n, first..n, "structure_census", |i, gov| {
             let c = bottoms[i];
+            let item = AuditItem::Census(c);
+            if let Some(ItemAnswer::Count(n)) = cache.and_then(|k| k.get(ds, item)) {
+                if let Some(f) = facts {
+                    if n == 0 {
+                        f.note_unsat(c);
+                    } else {
+                        f.note_sat(c);
+                    }
+                }
+                return ((Some((n, None)), SearchStats::default()), Flow::Next);
+            }
+            let store = |n: usize| {
+                if let Some(k) = cache {
+                    k.put(ds, item, ItemAnswer::Count(n));
+                }
+            };
             if let (Some(sp), Some(f)) = (sp, facts) {
                 if !sp.exposed.contains(c) && f.known_unsat(c) {
                     f.record_hit();
-                    return ((Some(Vec::new()), SearchStats::default()), Flow::Next);
+                    store(0);
+                    return ((Some((0, Some(Vec::new()))), SearchStats::default()), Flow::Next);
                 }
             }
-            let (frozen, out) = solver.enumerate_frozen_governed(c, gov);
+            let resumed = cache
+                .and_then(|k| k.pending(ds, item))
+                .and_then(|text| solver.load_checkpoint(&text).ok())
+                .filter(|cp| cp.root == c && !cp.stop_at_first)
+                .and_then(|cp| solver.resume_governed(&cp, gov).ok());
+            let (frozen, out) = match resumed {
+                Some(r) => r,
+                None => solver.enumerate_frozen_governed(c, gov),
+            };
             if let Some(e) = out.interrupted {
+                if let (Some(k), Some(cp)) = (cache, &out.checkpoint) {
+                    k.put_pending(ds, item, cp.to_text());
+                }
                 return ((None, out.stats), Flow::Stop(e));
             }
+            store(frozen.len());
             if let Some(f) = facts {
                 if frozen.is_empty() {
                     f.note_unsat(c);
                 }
             }
-            ((Some(frozen), out.stats), Flow::Next)
+            ((Some((frozen.len(), Some(frozen))), out.stats), Flow::Next)
         });
         for (k, item) in ran.items.iter_mut().enumerate() {
-            if let Some((Some(frozen), _)) = item {
-                self.report.structure_census.push((bottoms[k], frozen.len()));
-                if sp.is_some() {
-                    pools.insert(bottoms[k], std::mem::take(frozen));
+            if let Some((Some((count, pool)), _)) = item {
+                self.report.structure_census.push((bottoms[k], *count));
+                if let (Some(_), Some(pool)) = (sp, pool.take()) {
+                    pools.insert(bottoms[k], pool);
                 }
             }
         }
@@ -536,23 +603,45 @@ impl Audit<'_> {
             }
             _ => None,
         };
-        let (ds, session) = (self.ds, self.session);
+        let (ds, session, cache) = (self.ds, self.session, self.cache);
         let n = pairs.len();
         let ran = run_items(gov, self.jobs, n, first..n, "summarizability_matrix", |i, gov| {
             let (coarse, fine) = pairs[i];
+            let item = AuditItem::Rewrite(coarse, fine);
+            if let Some(v) = cache.and_then(|k| k.get(ds, item)).and_then(holds) {
+                return ((Some(v), SearchStats::default()), Flow::Next);
+            }
             let constraints = summarizability_constraints(g, coarse, &[fine]);
+            let opts = DimsatOptions::default();
             let battery = Battery {
                 ds,
                 constraints: &constraints,
-                opts: DimsatOptions::default(),
+                opts,
                 session,
                 plan: None,
                 shortcuts: shortcuts.as_ref(),
             };
-            // Pair granularity: the audit checkpoints whole batteries.
-            let (out, _) = battery.run(gov, 1, 0, SearchStats::default());
-            let flow = out.interrupt().map_or(Flow::Next, Flow::Stop);
-            ((out.interrupt().is_none().then(|| out.summarizable()), out.stats), flow)
+            // The audit checkpoints whole batteries; an item cache keeps
+            // the battery's own cursor as the pair's pending record.
+            let pending = cache
+                .and_then(|k| k.pending(ds, item))
+                .and_then(|text| load_battery_checkpoint(ds, &text).ok())
+                .filter(|cp| check_battery_checkpoint(ds, cp, coarse, &[fine], &opts).is_ok());
+            let out = battery.run_query(gov, 1, coarse, &[fine], pending.as_ref());
+            let answer = match out.verdict {
+                SummarizabilityVerdict::Summarizable => ItemAnswer::Holds,
+                SummarizabilityVerdict::NotSummarizable => ItemAnswer::Fails(out.failing_bottom),
+                SummarizabilityVerdict::Unknown(e) => {
+                    if let (Some(k), Some(cp)) = (cache, &out.checkpoint) {
+                        k.put_pending(ds, item, cp.to_text());
+                    }
+                    return ((None, out.stats), Flow::Stop(e));
+                }
+            };
+            if let Some(k) = cache {
+                k.put(ds, item, answer);
+            }
+            ((Some(answer == ItemAnswer::Holds), out.stats), Flow::Next)
         });
         for (k, item) in ran.items.iter().enumerate() {
             if matches!(item, Some((Some(true), _))) {
@@ -708,6 +797,7 @@ mod tests {
     use super::*;
     use odc_constraint::parse_constraint;
     use odc_govern::{Budget, CancelToken};
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     /// The audit on a caller's governor.
@@ -1058,6 +1148,80 @@ mod tests {
             resumed_any = true;
         }
         assert!(resumed_any, "no budget interrupted the planned audit");
+    }
+
+    /// An in-memory item cache that logs what the audit asks and stores.
+    #[derive(Default)]
+    struct FakeCache {
+        answers: std::sync::Mutex<std::collections::HashMap<AuditItem, ItemAnswer>>,
+        pending: std::sync::Mutex<std::collections::HashMap<AuditItem, String>>,
+        puts: std::sync::Mutex<Vec<AuditItem>>,
+        misses: std::sync::Mutex<Vec<AuditItem>>,
+    }
+
+    impl FakeCache {
+        fn take(log: &std::sync::Mutex<Vec<AuditItem>>) -> BTreeSet<AuditItem> {
+            std::mem::take(&mut *log.lock().unwrap()).into_iter().collect()
+        }
+    }
+
+    impl ItemCache for FakeCache {
+        fn get(&self, _: &DimensionSchema, item: AuditItem) -> Option<ItemAnswer> {
+            let hit = self.answers.lock().unwrap().get(&item).copied();
+            if hit.is_none() {
+                self.misses.lock().unwrap().push(item);
+            }
+            hit
+        }
+        fn put(&self, _: &DimensionSchema, item: AuditItem, answer: ItemAnswer) {
+            self.answers.lock().unwrap().insert(item, answer);
+            self.pending.lock().unwrap().remove(&item);
+            self.puts.lock().unwrap().push(item);
+        }
+        fn pending(&self, _: &DimensionSchema, item: AuditItem) -> Option<String> {
+            self.pending.lock().unwrap().get(&item).cloned()
+        }
+        fn put_pending(&self, _: &DimensionSchema, item: AuditItem, cursor: String) {
+            self.pending.lock().unwrap().insert(item, cursor);
+        }
+    }
+
+    /// After an interrupted `jobs = 3` audit through an item cache, every
+    /// item asked and not stored is one a worker was cut off in (at most
+    /// one per worker), and the next attempt re-solves none of the
+    /// stored ones.
+    #[test]
+    fn interrupted_parallel_audit_stores_every_decided_item() {
+        let ds = location_sch();
+        let clean = audit(&ds).render(&ds);
+        let mut interrupted = 0;
+        let planned = (1..3_000u64).step_by(23).map(|limit| (limit, true));
+        let unplanned = (1..8_000u64).step_by(157).map(|limit| (limit, false));
+        for (limit, plan) in planned.chain(unplanned) {
+            let cache = FakeCache::default();
+            let mut gov = Governor::new(
+                Budget::unlimited().with_node_limit(limit),
+                CancelToken::new(),
+            );
+            let run = Run::new(&mut gov).jobs(3).planned(plan).cache(&cache);
+            let first = audit_run(&ds, run).expect("nothing to resume");
+            let Some(cp) = first.checkpoint else {
+                assert!(first.interrupted.is_none());
+                continue;
+            };
+            interrupted += 1;
+            let put = FakeCache::take(&cache.puts);
+            let missed = FakeCache::take(&cache.misses);
+            let cut: Vec<_> = missed.difference(&put).collect();
+            assert!(cut.len() <= 3, "limit={limit}: undecided items {cut:?}");
+            let mut gov = Governor::unlimited();
+            let run = Run::new(&mut gov).jobs(3).planned(plan).cache(&cache);
+            let second = audit_run(&ds, run.resume(Some(&cp))).expect("same schema resumes");
+            assert_eq!(second.render(&ds), clean, "limit={limit}");
+            let again = FakeCache::take(&cache.puts);
+            assert!(again.is_disjoint(&put), "limit={limit}: re-solved {:?}", again.intersection(&put));
+        }
+        assert!(interrupted > 3, "the budget walk interrupted only {interrupted} audits");
     }
 
     /// Regression (bug: the serial CLI `check` ran every implication

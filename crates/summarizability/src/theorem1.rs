@@ -180,9 +180,6 @@ fn drive(
     opts: DimsatOptions,
     run: Run<'_, BatteryCheckpoint>,
 ) -> SummarizabilityOutcome {
-    let (first, base) = run
-        .resume
-        .map_or((0, SearchStats::default()), |cp| (cp.next, cp.stats.clone()));
     // A resumed battery rebuilds the recorded query, source order
     // included, so its constraints index exactly as they did.
     let s = run.resume.map_or(s, |cp| &cp.sources[..]);
@@ -196,7 +193,7 @@ fn drive(
         plan: plan.as_ref(),
         shortcuts: None,
     };
-    let (mut out, prefix) = battery.run(run.gov, run.jobs, first, base);
+    let out = battery.run_query(run.gov, run.jobs, c, s, run.resume);
     if let Some(p) = &plan {
         run.gov.obs().plan(&PlanEvent {
             battery: "theorem1_battery",
@@ -207,20 +204,12 @@ fn drive(
             batched: p.stats.batched,
         });
     }
-    out.checkpoint = prefix.map(|(next, stats)| BatteryCheckpoint {
-        fingerprint: implication::schema_fingerprint(ds),
-        options_key: options_key(&opts),
-        target: c,
-        sources: s.to_vec(),
-        next,
-        stats,
-    });
     out
 }
 
 /// Refuses a battery checkpoint recorded for another schema, under
 /// other DIMSAT options, or for another query (target and source set).
-fn check_battery_checkpoint(
+pub(crate) fn check_battery_checkpoint(
     ds: &DimensionSchema,
     cp: &BatteryCheckpoint,
     c: Category,
@@ -341,13 +330,37 @@ impl Battery<'_> {
         }
     }
 
+    /// Runs the battery of the query `c` from `s` from `resume`'s decided
+    /// prefix (or from the start); an interrupted outcome carries the
+    /// checkpoint to resume from.
+    pub(crate) fn run_query(
+        &self,
+        gov: &mut Governor,
+        jobs: usize,
+        c: Category,
+        s: &[Category],
+        resume: Option<&BatteryCheckpoint>,
+    ) -> SummarizabilityOutcome {
+        let (first, base) = resume.map_or((0, SearchStats::default()), |cp| (cp.next, cp.stats.clone()));
+        let (mut out, prefix) = self.run(gov, jobs, first, base);
+        out.checkpoint = prefix.map(|(next, stats)| BatteryCheckpoint {
+            fingerprint: implication::schema_fingerprint(self.ds),
+            options_key: options_key(&self.opts),
+            target: c,
+            sources: s.to_vec(),
+            next,
+            stats,
+        });
+        out
+    }
+
     /// Runs the constraints from `first` on (those before it are proved
     /// implied, at a cost of `base`). The outcome's stats include an
     /// interrupted query's partial counters; on an interrupt the second
     /// value is the decided prefix — the first undecided constraint and
     /// the counters of the decided ones before it, which is what a
     /// checkpoint carries since resume re-runs that query in full.
-    pub(crate) fn run(
+    fn run(
         &self,
         gov: &mut Governor,
         jobs: usize,

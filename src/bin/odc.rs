@@ -43,6 +43,7 @@ use odc_core::prelude::*;
 use odc_core::repo::{self as vrepo, VerdictRepo};
 use odc_core::summarizability::advisor;
 use odc_core::summarizability::checkpoint::{load_audit_checkpoint, load_battery_checkpoint};
+use odc_core::summarizability::{BatteryCheckpoint, SummarizabilityOutcome};
 use odc_serve::{ServeConfig, Server};
 use std::path::Path;
 use std::process::ExitCode;
@@ -286,61 +287,31 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                 ),
                 None => None,
             };
+            // Every attempt is the same run: planned or not, over `jobs`
+            // workers, through one memo-cache and the repository, each
+            // resuming the previous attempt's checkpoint.
+            let cache = ImplicationCache::for_schema(&ds);
             let mut attempt_budget = budget;
             let mut attempts = 0u32;
             let report = loop {
                 attempts += 1;
-                let warm = repo.as_ref().filter(|_| jobs > 1).and_then(|r| {
-                    // A read-only probe answers entirely from disk when the
-                    // store is fully warm — no worker pool, no solve
-                    // events, and (unlike the zero-node-budget probe it
-                    // replaces) no clobbered pending cursors.
-                    vrepo::warm_audit_from_repo(&ds, r)
-                });
-                let report = match (&repo, warm) {
-                    (_, Some(warm)) => warm,
-                    (Some(r), None) if jobs <= 1 => {
-                        let mut gov = make_governor(attempt_budget, &obs, &flags.fault);
-                        vrepo::audit_with_repo(&ds, r, &mut gov)
-                    }
-                    _ => {
-                        // Stored sat/unsat verdicts seed the planner, so a
-                        // partially-warm store still skips the solves it
-                        // already proves.
-                        let facts = repo.as_ref().map(|r| vrepo::warm_facts(&ds, r));
-                        let cache = ImplicationCache::for_schema(&ds);
-                        let mut gov = make_governor(attempt_budget, &obs, &flags.fault);
-                        // A resumed audit continues unplanned, and a serial
-                        // one without the memo-cache: the solves it replays
-                        // are the ones every earlier release replayed.
-                        let mut run = Run::new(&mut gov)
-                            .jobs(jobs)
-                            .planned(plan && cp.is_none())
-                            .resume(cp.as_ref());
-                        if cp.is_none() || jobs > 1 {
-                            run = run.session(cache.begin_session());
-                        }
-                        if let Some(f) = &facts {
-                            run = run.facts(f);
-                        }
-                        let rep = advisor::audit_run(&ds, run).map_err(|e| format!("resume: {e}"))?;
-                        if let Some(r) = &repo {
-                            vrepo::drivers::store_report(&ds, r, &rep);
-                        }
-                        rep
-                    }
-                };
+                let mut gov = make_governor(attempt_budget, &obs, &flags.fault);
+                let mut run = Run::new(&mut gov)
+                    .jobs(jobs)
+                    .planned(plan)
+                    .session(cache.begin_session())
+                    .resume(cp.as_ref());
+                if let Some(r) = &repo {
+                    run = run.cache(r);
+                }
+                let report = advisor::audit_run(&ds, run).map_err(|e| format!("resume: {e}"))?;
                 if report.interrupted.is_none()
                     || attempts > flags.retry
-                    || (repo.is_none() && report.checkpoint.is_none())
+                    || report.checkpoint.is_none()
                 {
                     break report;
                 }
-                // With a repository, the pending cursors on disk are the
-                // checkpoint; the next attempt resumes them per sub-query.
-                if repo.is_none() {
-                    cp = report.checkpoint;
-                }
+                cp = report.checkpoint;
                 attempt_budget = attempt_budget.scaled(2);
             };
             let unknown = report.interrupted.is_some();
@@ -587,48 +558,36 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
             let s: Result<Vec<Category>, String> =
                 sources.iter().map(|n| category(&ds, n)).collect();
             let s = s?;
-            let key = vrepo::sub_key(
-                &ds,
-                "cli-summarizable",
-                &format!("{target}<-{}", sources.join("+")),
-            );
-            if let Some(hit) = repo.as_ref().and_then(|r| r.get(&key)) {
-                return Ok(RunOutput::answered(hit.payload.clone()));
-            }
-            let mut cp = match &flags.resume {
+            let resume = match &flags.resume {
                 // `is_summarizable_in_schema_run` refuses a cursor taken for
                 // another query.
                 Some(path) => Some(
                     load_battery_checkpoint(&ds, &read_file(path)?)
                         .map_err(|e| format!("--resume {path}: {e}"))?,
                 ),
-                None => repo.as_ref().and_then(|r| {
-                    // A pending battery cursor in the repository warm
-                    // starts the decided prefix like `--resume` would.
-                    r.pending(&key)
-                        .and_then(|text| load_battery_checkpoint(&ds, &text).ok())
-                }),
+                None => None,
             };
-            let mut attempt_budget = budget;
             let mut attempts = 0u32;
-            let out = loop {
-                attempts += 1;
-                // A resumed battery continues serially and unplanned: its
-                // countermodel, when several bottoms fail, is then the
-                // first failing one in bottom order, as a fresh serial
-                // unplanned run reports it.
-                let mut gov = make_governor(attempt_budget, &obs, &flags.fault);
-                let run = match &cp {
-                    Some(c) => Run::new(&mut gov).resume(Some(c)),
-                    None => Run::new(&mut gov).jobs(jobs).planned(plan),
-                };
-                let out = is_summarizable_in_schema_run(&ds, t, &s, DimsatOptions::default(), run)
-                    .map_err(|e| format!("resume: {e}"))?;
-                if !out.is_unknown() || out.checkpoint.is_none() || attempts > flags.retry {
-                    break out;
+            // Every attempt is the same run, resuming the previous one.
+            let found = summarizable_verdict(&ds, t, &s, repo.as_ref(), resume, |mut cp| {
+                let mut attempt_budget = budget;
+                loop {
+                    attempts += 1;
+                    let mut gov = make_governor(attempt_budget, &obs, &flags.fault);
+                    let run = Run::new(&mut gov).jobs(jobs).planned(plan).resume(cp.as_ref());
+                    let out =
+                        is_summarizable_in_schema_run(&ds, t, &s, DimsatOptions::default(), run)
+                            .map_err(|e| format!("resume: {e}"))?;
+                    if !out.is_unknown() || out.checkpoint.is_none() || attempts > flags.retry {
+                        return Ok(out);
+                    }
+                    cp = out.checkpoint;
+                    attempt_budget = attempt_budget.scaled(2);
                 }
-                cp = out.checkpoint;
-                attempt_budget = attempt_budget.scaled(2);
+            })?;
+            let out = match found {
+                Summarized::Stored(hit) => return Ok(RunOutput::answered(hit.payload.clone())),
+                Summarized::Solved(out) => *out,
             };
             let (answer, unknown) = match &out.verdict {
                 SummarizabilityVerdict::Summarizable => ("true".to_string(), false),
@@ -653,34 +612,11 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                         "checkpoint written to {path}; continue with --resume {path}\n"
                     ));
                 }
-                if let (Some(r), Some(dir), Some(c)) = (&repo, &flags.repo, &out.checkpoint) {
-                    let _ = r.put_pending(key.clone(), c.to_text());
+                if let (Some(dir), Some(_)) = (&flags.repo, &out.checkpoint) {
                     text.push_str(&format!(
                         "pending cursor persisted; rerun with --repo {dir} to continue\n"
                     ));
                 }
-            } else if let Some(r) = &repo {
-                // A negative verdict is witnessed by one failing bottom;
-                // a positive one depended on the whole battery, so its
-                // footprint carries the structure sentinel.
-                let fb = match &out.verdict {
-                    SummarizabilityVerdict::NotSummarizable => out.failing_bottom,
-                    _ => None,
-                };
-                let mut payload = format!("summarizable: {answer}\n");
-                if let Some(l) = &cx_line {
-                    payload.push_str(l);
-                }
-                let _ = r.put(
-                    key,
-                    vrepo::StoredVerdict {
-                        value: answer.clone(),
-                        payload,
-                        footprint: vrepo::summarizable_footprint(ds.hierarchy(), t, fb)
-                            .into_iter()
-                            .collect(),
-                    },
-                );
             }
             if let Some(l) = cx_line {
                 text.push_str(&l);
@@ -940,63 +876,35 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                     let g = ds.hierarchy();
                     let (ok, failing) = match &repo {
                         // Schema-level verdicts, shared with
-                        // `odc summarizable` through the repository: a
-                        // stored `true` answers from disk; everything
-                        // else solves (and persists the miss).
+                        // `odc summarizable` and solved as it solves them.
                         Some(r) => {
-                            let key = vrepo::sub_key(
-                                ds,
-                                "cli-summarizable",
-                                &format!("{}<-{}", g.name(to), g.name(from)),
-                            );
-                            let hit = r.get(&key);
-                            if hit.as_ref().is_some_and(|h| h.value == "true") {
-                                (true, None)
-                            } else {
+                            let found = summarizable_verdict(ds, to, &[from], Some(r), None, |cp| {
                                 let mut gov = make_governor(budget, &obs, &None);
-                                let out = is_summarizable_in_schema_run(
+                                let run = Run::new(&mut gov).planned(true).resume(cp.as_ref());
+                                is_summarizable_in_schema_run(
                                     ds,
                                     to,
                                     &[from],
                                     DimsatOptions::default(),
-                                    Run::new(&mut gov),
+                                    run,
                                 )
-                                .map_err(|e| format!("cube: {e}"))?;
-                                match &out.verdict {
-                                    SummarizabilityVerdict::Summarizable => {
-                                        if hit.is_none() {
-                                            let _ = r.put(
-                                                key,
-                                                vrepo::StoredVerdict {
-                                                    value: "true".into(),
-                                                    payload: "summarizable: true\n".into(),
-                                                    footprint: vrepo::summarizable_footprint(
-                                                        g, to, None,
-                                                    )
-                                                    .into_iter()
-                                                    .collect(),
-                                                },
-                                            );
-                                        }
-                                        (true, None)
-                                    }
+                                .map_err(|e| format!("cube: {e}"))
+                            })?;
+                            let (ok, fb) = match found {
+                                // A refuted verdict's footprint is its
+                                // failing bottom's region, whose only
+                                // bottom category that bottom is.
+                                Summarized::Stored(hit) if hit.value == "false" => {
+                                    let fb = g.bottom_categories().into_iter().find(|&b| {
+                                        hit.footprint.iter().any(|n| n == g.name(b))
+                                    });
+                                    (false, fb)
+                                }
+                                Summarized::Stored(_) => (true, None),
+                                Summarized::Solved(out) => match &out.verdict {
+                                    SummarizabilityVerdict::Summarizable => (true, None),
                                     SummarizabilityVerdict::NotSummarizable => {
-                                        let fb = out.failing_bottom;
-                                        if hit.is_none() {
-                                            let _ = r.put(
-                                                key,
-                                                vrepo::StoredVerdict {
-                                                    value: "false".into(),
-                                                    payload: "summarizable: false\n".into(),
-                                                    footprint: vrepo::summarizable_footprint(
-                                                        g, to, fb,
-                                                    )
-                                                    .into_iter()
-                                                    .collect(),
-                                                },
-                                            );
-                                        }
-                                        (false, fb.map(|c| g.name(c).to_string()))
+                                        (false, out.failing_bottom)
                                     }
                                     SummarizabilityVerdict::Unknown(i) => {
                                         return Err(format!(
@@ -1004,8 +912,9 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                                              --time-limit/--node-limit"
                                         ))
                                     }
-                                }
-                            }
+                                },
+                            };
+                            (ok, fb.map(|c| g.name(c).to_string()))
                         }
                         // Measured verdicts straight off the rollup
                         // columns of the loaded instance.
@@ -1733,6 +1642,70 @@ fn read_file(path: &str) -> Result<String, String> {
 fn write_checkpoint(path: &str, text: &str) -> Result<(), String> {
     vrepo::atomic_write(Path::new(path), text.as_bytes(), None)
         .map_err(|e| format!("--checkpoint {path}: {e}"))
+}
+
+/// What `odc summarizable` answers: read back from the repository, or
+/// solved.
+enum Summarized {
+    /// The stored record; its payload is what the solving run printed.
+    Stored(Arc<vrepo::StoredVerdict>),
+    Solved(Box<SummarizabilityOutcome>),
+}
+
+/// The verdict of `t` from `s`, through `repo` when there is one (`odc
+/// summarizable` and `odc cube` share the records). A stored verdict is
+/// read back. Otherwise `solve` runs the battery from `resume` or the
+/// repository's pending cursor, and the outcome is stored: a decided one
+/// with the lines `odc summarizable` prints, an interrupted one as the
+/// pending cursor.
+fn summarizable_verdict(
+    ds: &DimensionSchema,
+    t: Category,
+    s: &[Category],
+    repo: Option<&VerdictRepo>,
+    resume: Option<BatteryCheckpoint>,
+    solve: impl FnOnce(Option<BatteryCheckpoint>) -> Result<SummarizabilityOutcome, String>,
+) -> Result<Summarized, String> {
+    let g = ds.hierarchy();
+    let sources: Vec<&str> = s.iter().map(|&c| g.name(c)).collect();
+    let query = format!("{}<-{}", g.name(t), sources.join("+"));
+    let key = vrepo::sub_key(ds, "cli-summarizable", &query);
+    if let Some(hit) = repo.and_then(|r| r.get(&key)) {
+        return Ok(Summarized::Stored(hit));
+    }
+    let resume = resume.or_else(|| {
+        let text = repo?.pending(&key)?;
+        load_battery_checkpoint(ds, &text).ok()
+    });
+    let out = solve(resume)?;
+    let Some(r) = repo else {
+        return Ok(Summarized::Solved(Box::new(out)));
+    };
+    let holds = match out.verdict {
+        SummarizabilityVerdict::Summarizable => true,
+        SummarizabilityVerdict::NotSummarizable => false,
+        SummarizabilityVerdict::Unknown(_) => {
+            if let Some(c) = &out.checkpoint {
+                let _ = r.put_pending(key, c.to_text());
+            }
+            return Ok(Summarized::Solved(Box::new(out)));
+        }
+    };
+    // A negative verdict is witnessed by one failing bottom; a positive
+    // one depended on the whole battery, so its footprint carries the
+    // structure sentinel.
+    let fb = if holds { None } else { out.failing_bottom };
+    let mut payload = format!("summarizable: {holds}\n");
+    if let Some(cx) = &out.counterexample {
+        payload.push_str(&format!("countermodel: {}\n", cx.display(ds)));
+    }
+    let stored = vrepo::StoredVerdict {
+        value: holds.to_string(),
+        payload,
+        footprint: vrepo::summarizable_footprint(g, t, fb).into_iter().collect(),
+    };
+    let _ = r.put(key, stored);
+    Ok(Summarized::Solved(Box::new(out)))
 }
 
 /// Opens the verdict repository named by `--repo`, threading the run's

@@ -385,3 +385,73 @@ fn repo_flag_honesty() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("applies only to client"));
 }
+
+fn corpus_schema(case: &str) -> String {
+    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    p.push(format!("corpus/v1/{case}/schema.txt"));
+    p.to_string_lossy().into_owned()
+}
+
+/// Regression (bug: `cube --repo` stored a `false` verdict without its
+/// countermodel, and a later `summarizable --repo` printed that stub):
+/// `cube` and `summarizable` share one record, written as a cold
+/// `summarizable` prints it, and `cube` answers it from disk.
+#[test]
+fn cube_repo_verdicts_are_what_summarizable_prints() {
+    let tmp = std::env::temp_dir().join(format!("odc-cli-cube-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    let (store, repo) = (tmp.join("store"), tmp.join("repo"));
+    let (store, repo) = (store.to_string_lossy(), repo.to_string_lossy());
+    let out = odc(&["ingest", &store, &schema_file()]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let cube = odc(&["cube", &store, "Country", "--via", "Province", "--repo", &repo]);
+    assert_eq!(cube.status.code(), Some(2), "an unsafe rollup is refused");
+    assert!(stdout(&cube).contains("(failing bottom: Store)"));
+    let clean = odc(&["summarizable", &schema_file(), "Country", "Province"]);
+    assert!(stdout(&clean).contains("countermodel:"));
+    let stored = odc(&["summarizable", &schema_file(), "Country", "Province", "--repo", &repo]);
+    assert_eq!(stdout(&stored), stdout(&clean));
+    // The stored refusal answers the next cube without a solve.
+    let events = tmp.join("events.jsonl");
+    let again = odc(&[
+        "cube",
+        &store,
+        "Country",
+        "--via",
+        "Province",
+        "--repo",
+        &repo,
+        "--stats-json",
+        &events.to_string_lossy(),
+    ]);
+    assert_eq!(stdout(&again), stdout(&cube));
+    let events = std::fs::read_to_string(&events).unwrap_or_default();
+    assert!(!events.contains("\"solve_start\""), "a stored verdict is re-solved");
+    let _ = std::fs::remove_dir_all(&tmp);
+}
+
+/// Regression (bug: a retried battery dropped to the serial unplanned
+/// driver, so when several bottoms fail its countermodel depended on
+/// the budget): a starved, retried `summarizable` prints what the clean
+/// run prints, apart from the attempt-count line.
+#[test]
+fn retried_summarizable_prints_the_clean_answer() {
+    let schema = corpus_schema("s2002-c9-vocabulary");
+    let query = ["L1C0", "L0C2", "L0C1"];
+    let mut clean_args = vec!["summarizable", schema.as_str()];
+    clean_args.extend(query);
+    let clean = odc(&clean_args);
+    assert!(clean.status.success());
+    let mut retried_args = clean_args.clone();
+    retried_args.extend(["--node-limit", "1", "--retry", "8"]);
+    let retried = odc(&retried_args);
+    assert!(retried.status.success(), "{}", stdout(&retried));
+    let text = stdout(&retried);
+    assert!(text.contains(" attempts, budget doubled per retry)"), "{text}");
+    let report: String = text
+        .lines()
+        .filter(|l| !l.ends_with(" attempts, budget doubled per retry)"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(report, stdout(&clean));
+}

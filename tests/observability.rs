@@ -186,57 +186,53 @@ fn audit_worker_panic_is_not_swallowed() {
 }
 
 /// Regression (bug: the `--repo --jobs` warm probe ran a real audit
-/// under a zero-node budget): the warm probe must be silent and
-/// side-effect-free. On a partially-warm store it reports "not warm"
-/// without solving anything and — the actual damage the old probe did —
-/// without overwriting pending resume cursors with zero-progress junk;
-/// on a fully-warm store it reproduces the cold audit byte-for-byte
-/// with all-zero counters, the shape a fully-cached battery must have.
+/// under a zero-node budget and clobbered pending resume cursors): an
+/// audit whose every item the repository holds is silent and
+/// side-effect-free. Serial or planned over workers, it reproduces the
+/// cold audit byte-for-byte with no `solve_start`, all-zero counters,
+/// no write, and a pending cursor left by an earlier run untouched.
 #[test]
 fn repo_warm_probe_is_silent_and_side_effect_free() {
-    use odc_core::repo::{self as vrepo, StoredVerdict, VerdictRepo};
+    use odc_core::repo::VerdictRepo;
     let ds = location_schema();
     let g = ds.hierarchy();
     let dir = std::env::temp_dir().join(format!("odc-obs-warmprobe-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let repo = VerdictRepo::open(&dir, Obs::none(), None).expect("open repo");
 
-    // Partially warm: one stored sweep verdict, plus a (fake) pending
-    // census cursor standing in for a previous interrupted run's warm
-    // start.
-    let sat_key = vrepo::sub_key(&ds, "sat", g.name(store(&ds)));
-    repo.put(
-        sat_key,
-        StoredVerdict {
-            value: "sat".to_string(),
-            payload: String::new(),
-            footprint: Vec::new(),
-        },
-    )
-    .expect("store one verdict");
-    let census_key = vrepo::sub_key(&ds, "census", g.name(store(&ds)));
+    let mut gov = Governor::unlimited();
+    let cold = advisor::audit_run(&ds, Run::new(&mut gov).jobs(2).planned(true).cache(&repo))
+        .expect("nothing to resume");
+    assert!(cold.interrupted.is_none());
+    // A (fake) pending census cursor standing in for a previous
+    // interrupted run's warm start.
+    let census_key = odc_core::repo::sub_key(&ds, "census", g.name(store(&ds)));
     repo.put_pending(census_key.clone(), "cursor-from-previous-run".to_string())
         .expect("store pending cursor");
 
-    assert!(
-        vrepo::warm_audit_from_repo(&ds, &repo).is_none(),
-        "a partially-warm store is not a warm audit"
-    );
-    assert_eq!(
-        repo.pending(&census_key).as_deref(),
-        Some("cursor-from-previous-run"),
-        "the probe must not clobber pending resume cursors"
-    );
-
-    // Fully warm the store, then probe again: byte-identical report,
-    // nothing searched, nothing written.
-    let mut gov = Governor::unlimited();
-    let cold = vrepo::audit_with_repo(&ds, &repo, &mut gov);
-    assert!(cold.interrupted.is_none());
-    let warm = vrepo::warm_audit_from_repo(&ds, &repo).expect("fully warm store answers");
-    assert_eq!(warm.render(&ds), cold.render(&ds));
-    assert_eq!(warm.stats.expand_calls, 0, "warm probe searches nothing");
-    assert_eq!(warm.stats.check_calls, 0);
+    for (jobs, plan) in [(1, false), (2, true)] {
+        let collector = Arc::new(CollectingObserver::new());
+        let mut gov = Governor::unlimited().with_observer(Obs::new(collector.clone()));
+        let puts = repo.stats().puts;
+        let warm = advisor::audit_run(&ds, Run::new(&mut gov).jobs(jobs).planned(plan).cache(&repo))
+            .expect("nothing to resume");
+        let ctx = format!("jobs={jobs} plan={plan}");
+        assert_eq!(warm.render(&ds), cold.render(&ds), "{ctx}");
+        let solves = collector
+            .events()
+            .iter()
+            .filter(|e| matches!(e, olap_dimension_constraints::obs::Event::Start(_)))
+            .count();
+        assert_eq!(solves, 0, "a warm audit solves nothing ({ctx})");
+        assert_eq!(warm.stats.expand_calls, 0, "{ctx}");
+        assert_eq!(warm.stats.check_calls, 0, "{ctx}");
+        assert_eq!(repo.stats().puts, puts, "a warm audit writes nothing ({ctx})");
+        assert_eq!(
+            repo.pending(&census_key).as_deref(),
+            Some("cursor-from-previous-run"),
+            "a warm audit must not clobber pending resume cursors ({ctx})"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
