@@ -19,6 +19,8 @@ use std::collections::BTreeSet;
 use odc_constraint::{printer, DimensionSchema};
 use odc_hierarchy::{Category, HierarchySchema};
 
+use crate::record::StoredVerdict;
+
 /// `region(c)`: `c` plus every category reachable upward from it,
 /// as sorted names.
 pub fn region(g: &HierarchySchema, c: Category) -> BTreeSet<String> {
@@ -84,6 +86,21 @@ pub fn summarizable_footprint(
     out.extend(region(g, target));
     out.insert(STRUCTURE_SENTINEL.to_string());
     out
+}
+
+/// The failing bottom a refuted summarizability verdict was stored with,
+/// read back from its footprint: [`summarizable_footprint`] stores a
+/// refutation as its failing bottom's [`region`], and that bottom is the
+/// region's only bottom category. `None` for a verdict that holds (a
+/// refutation's value is `false` in `cli-summarizable` records, `no` in
+/// audit `rewrite` records).
+pub fn failing_bottom(g: &HierarchySchema, verdict: &StoredVerdict) -> Option<Category> {
+    if verdict.value != "false" && verdict.value != "no" {
+        return None;
+    }
+    g.bottom_categories()
+        .into_iter()
+        .find(|&b| verdict.footprint.iter().any(|n| n == g.name(b)))
 }
 
 /// Flattened structural digest of a dimension schema, diffable
@@ -299,6 +316,21 @@ mod tests {
         let ds = chain_schema("");
         let fp = summarizable_footprint(ds.hierarchy(), cat(&ds, "Country"), Some(cat(&ds, "Store")));
         assert!(fp.contains("Store") && !fp.contains(STRUCTURE_SENTINEL));
+    }
+
+    #[test]
+    fn failing_bottom_reads_back_a_refutation() {
+        let ds = chain_schema("");
+        let g = ds.hierarchy();
+        let stored = |value: &str, fb| StoredVerdict {
+            value: value.into(),
+            payload: String::new(),
+            footprint: summarizable_footprint(g, cat(&ds, "Country"), fb).into_iter().collect(),
+        };
+        let store = cat(&ds, "Store");
+        assert_eq!(failing_bottom(g, &stored("false", Some(store))), Some(store));
+        assert_eq!(failing_bottom(g, &stored("no", Some(store))), Some(store));
+        assert_eq!(failing_bottom(g, &stored("true", None)), None);
     }
 
     #[test]

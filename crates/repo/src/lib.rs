@@ -42,7 +42,8 @@ pub mod store;
 pub use drivers::{audit_with_repo, sub_key};
 pub use crc::crc32;
 pub use footprint::{
-    region, regions, summarizable_footprint, survives, SchemaSummary, STRUCTURE_SENTINEL,
+    failing_bottom, region, regions, summarizable_footprint, survives, SchemaSummary,
+    STRUCTURE_SENTINEL,
 };
 pub use fsutil::atomic_write;
 pub use record::{RecordBody, StoredVerdict, VerdictKey};

@@ -891,16 +891,9 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                                 .map_err(|e| format!("cube: {e}"))
                             })?;
                             let (ok, fb) = match found {
-                                // A refuted verdict's footprint is its
-                                // failing bottom's region, whose only
-                                // bottom category that bottom is.
-                                Summarized::Stored(hit) if hit.value == "false" => {
-                                    let fb = g.bottom_categories().into_iter().find(|&b| {
-                                        hit.footprint.iter().any(|n| n == g.name(b))
-                                    });
-                                    (false, fb)
+                                Summarized::Stored(hit) => {
+                                    (hit.value != "false", vrepo::failing_bottom(g, &hit))
                                 }
-                                Summarized::Stored(_) => (true, None),
                                 Summarized::Solved(out) => match &out.verdict {
                                     SummarizabilityVerdict::Summarizable => (true, None),
                                     SummarizabilityVerdict::NotSummarizable => {
