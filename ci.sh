@@ -631,7 +631,29 @@ grep -q "failing bottom" "$STOREDIR/cube-bad.txt" \
 "$ODCBIN" cube "$STOREDIR/full" Country --limit 100 > "$STOREDIR/cells-full.txt"
 diff "$STOREDIR/cells-inc.txt" "$STOREDIR/cells-full.txt" \
   || { echo "incremental and full ingest answer differently"; exit 1; }
-echo "store smoke OK: incremental and full ingest agree"
+
+# The append path: the same stream in two `odc ingest` calls, the second
+# reopening the store (load, ingest, save), must answer and save like
+# the one-shot store.
+head -n 25008 "$STOREDIR/facts.txt" > "$STOREDIR/facts-1.txt"
+tail -n +25009 "$STOREDIR/facts.txt" > "$STOREDIR/facts-2.txt"
+"$ODCBIN" ingest "$STOREDIR/app" examples/location.odcs \
+  --facts "$STOREDIR/facts-1.txt" --batch-rows 4096 > /dev/null
+"$ODCBIN" ingest "$STOREDIR/app" --facts "$STOREDIR/facts-2.txt" --batch-rows 4096 \
+  > "$STOREDIR/append.txt"
+grep -q "50000 fact(s) total" "$STOREDIR/append.txt" \
+  || { echo "append lost facts:"; cat "$STOREDIR/append.txt"; exit 1; }
+for level in Store Country; do
+  "$ODCBIN" cube "$STOREDIR/inc" "$level" --limit 100 > "$STOREDIR/one-$level.txt"
+  "$ODCBIN" cube "$STOREDIR/app" "$level" --limit 100 > "$STOREDIR/app-$level.txt"
+  diff "$STOREDIR/one-$level.txt" "$STOREDIR/app-$level.txt" \
+    || { echo "appended store answers $level differently"; exit 1; }
+done
+for f in members.0.odct facts.bin; do
+  cmp "$STOREDIR/inc/$f" "$STOREDIR/app/$f" \
+    || { echo "appended store saved a different $f"; exit 1; }
+done
+echo "store smoke OK: incremental, full and appended ingest agree"
 
 echo "== store-harness smoke (exp_store) =="
 ODC_BENCH_QUICK=1 cargo run --offline --release --quiet -p odc-bench --bin exp_store -- --smoke

@@ -133,7 +133,8 @@ fn main() {
     let mut batch_micros: Vec<u64> = Vec::new();
     let t0 = Instant::now();
     for (i, chunk) in lines.chunks(batch_rows).enumerate() {
-        let batch = odc_store::parse_batch(&chunk.join("\n"), i * batch_rows + 1)
+        let text = chunk.join("\n");
+        let batch = odc_store::parse_batch(&text, i * batch_rows + 1)
             .expect("generated stream parses");
         let tb = Instant::now();
         store
@@ -154,7 +155,8 @@ fn main() {
         .into_iter()
         .map(|(m, v)| format!("{} -> {v}", quote(d.key(m))))
         .collect();
-    let extra = odc_store::parse_batch(&extra_lines.join("\n"), lines.len() + 1)
+    let extra_text = extra_lines.join("\n");
+    let extra = odc_store::parse_batch(&extra_text, lines.len() + 1)
         .expect("extra batch parses");
     let t_inc = Instant::now();
     let inc_errors = store.check_batch(&extra);

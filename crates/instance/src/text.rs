@@ -6,7 +6,9 @@
 //! key : Category [= "Name"] [< parent-key, parent-key, …]
 //! ```
 //!
-//! * `key` — a unique member identifier (quoted if it contains spaces);
+//! * `key` — a unique member identifier (quoted if it contains
+//!   whitespace or one of `#:<,="`; inside a quoted token no separator
+//!   counts);
 //! * `Category` — a category of the hierarchy schema;
 //! * `= "Name"` — optional `Name` attribute (defaults to the key);
 //! * `< …` — the direct parents; `all` refers to the top member.
@@ -58,22 +60,33 @@ impl std::error::Error for InstanceParseError {}
 /// One parsed member line of the textual format — the shared grammar
 /// unit (`key : Category [= "Name"] [< parent, …]`) that both the
 /// two-pass [`parse_instance`] loader and streaming consumers (the
-/// columnar fact store's ingest path) scan with.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemberLine {
+/// columnar fact store's ingest path) scan with. Every field borrows the
+/// line it was parsed from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemberLine<'a> {
     /// The member key (unquoted).
-    pub key: String,
+    pub key: &'a str,
     /// The category name.
-    pub category: String,
-    /// The optional display name (`= "Name"`).
-    pub name: Option<String>,
-    /// Parent keys (`all` refers to the top member).
-    pub parents: Vec<String>,
+    pub category: &'a str,
+    /// The optional display name (`= "Name"`, unquoted).
+    pub name: Option<&'a str>,
+    /// The raw parent list after `<` (empty when the line has none);
+    /// [`MemberLine::parents`] splits and unquotes it.
+    pub parent_list: &'a str,
 }
 
-struct Line {
+impl<'a> MemberLine<'a> {
+    /// Parent keys in declaration order (`all` refers to the top member).
+    pub fn parents(&self) -> impl Iterator<Item = &'a str> + 'a {
+        split_unquoted(self.parent_list, b',')
+            .map(|x| unquote(x.trim()))
+            .filter(|x| !x.is_empty())
+    }
+}
+
+struct Line<'a> {
     number: usize,
-    member: MemberLine,
+    member: MemberLine<'a>,
 }
 
 /// Parses an instance over `schema` from text, validating C1–C7.
@@ -89,22 +102,22 @@ pub fn parse_instance(
         let m = &l.member;
         let cat =
             schema
-                .category_by_name(&m.category)
+                .category_by_name(m.category)
                 .ok_or_else(|| InstanceParseError::Syntax {
                     line: l.number,
                     message: format!("unknown category `{}`", m.category),
                 })?;
-        if ib.member_by_key(&m.key).is_some() {
+        if ib.member_by_key(m.key).is_some() {
             return Err(InstanceParseError::Syntax {
                 line: l.number,
                 message: format!("duplicate member key `{}`", m.key),
             });
         }
-        members.push(ib.member_named(&m.key, cat, m.name.as_deref().unwrap_or(&m.key)));
+        members.push(ib.member_named(m.key, cat, m.name.unwrap_or(m.key)));
     }
     // Pass 2: links.
     for (l, &child) in lines.iter().zip(&members) {
-        for p in &l.member.parents {
+        for p in l.member.parents() {
             let parent = resolve_parent(&ib, p).ok_or_else(|| InstanceParseError::Syntax {
                 line: l.number,
                 message: format!("unknown parent member `{p}`"),
@@ -123,7 +136,7 @@ fn resolve_parent(ib: &InstanceBuilder, key: &str) -> Option<Member> {
     }
 }
 
-fn scan(src: &str) -> Result<Vec<Line>, InstanceParseError> {
+fn scan(src: &str) -> Result<Vec<Line<'_>>, InstanceParseError> {
     let mut out = Vec::new();
     for (i, raw) in src.lines().enumerate() {
         let number = i + 1;
@@ -138,66 +151,109 @@ fn scan(src: &str) -> Result<Vec<Line>, InstanceParseError> {
 
 /// Parses one line of the member grammar. `Ok(None)` for blank and
 /// comment-only lines; `Err(message)` on a syntax error (the caller
-/// supplies the line number).
-pub fn parse_member_line(raw: &str) -> Result<Option<MemberLine>, String> {
+/// supplies the line number). Every separator (`:`, `=`, `<`, `,`)
+/// counts only outside quoted tokens (see [`unquoted_bytes`]), so a
+/// quoted token may hold any of them.
+pub fn parse_member_line(raw: &str) -> Result<Option<MemberLine<'_>>, String> {
     let line = strip_comment(raw).trim();
     if line.is_empty() {
         return Ok(None);
     }
-    let (head, parents_part) = match line.split_once('<') {
-        Some((h, p)) => (h, Some(p)),
-        None => (line, None),
+    let (head, parent_list) = match find_unquoted(line, b'<') {
+        Some(i) => (&line[..i], line[i + 1..].trim()),
+        None => (line, ""),
     };
-    let (key_part, rest) = head
-        .split_once(':')
-        .ok_or_else(|| "expected `key : Category`".to_string())?;
-    let key = unquote(key_part.trim());
+    let colon = find_unquoted(head, b':').ok_or_else(|| "expected `key : Category`".to_string())?;
+    let key = unquote(head[..colon].trim());
     if key.is_empty() {
         return Err("empty member key".into());
     }
-    let (category, name) = match rest.split_once('=') {
-        Some((c, n)) => (c.trim().to_string(), Some(unquote(n.trim()))),
-        None => (rest.trim().to_string(), None),
+    let rest = &head[colon + 1..];
+    let (category, name) = match find_unquoted(rest, b'=') {
+        Some(i) => (rest[..i].trim(), Some(unquote(rest[i + 1..].trim()))),
+        None => (rest.trim(), None),
     };
     if category.is_empty() {
         return Err("missing category".into());
     }
-    let parents = parents_part
-        .map(|p| {
-            p.split(',')
-                .map(|x| unquote(x.trim()))
-                .filter(|x| !x.is_empty())
-                .collect()
-        })
-        .unwrap_or_default();
     Ok(Some(MemberLine {
         key,
         category,
         name,
-        parents,
+        parent_list,
     }))
 }
 
-/// Cuts a trailing `#` comment off `line` (a `#` inside quotes is part
-/// of the token, not a comment).
+/// Cuts a trailing `#` comment off `line` (a `#` inside a quoted token
+/// is part of the token, not a comment).
 pub fn strip_comment(line: &str) -> &str {
-    let mut in_quotes = false;
-    for (i, ch) in line.char_indices() {
-        match ch {
-            '"' => in_quotes = !in_quotes,
-            '#' if !in_quotes => return &line[..i],
-            _ => {}
-        }
+    match find_unquoted(line, b'#') {
+        Some(i) => &line[..i],
+        None => line,
     }
-    line
+}
+
+/// The bytes of `s` that lie outside quoted tokens, with their offsets.
+///
+/// A `"` opens a quoted token only where a token starts — after nothing
+/// but whitespace since the start of `s` or the last `:`, `<`, `=` or
+/// `,` — and only when a closing `"` follows; the token ends at that
+/// closing quote. Any other `"` is an ordinary character, so a stray
+/// quote inside a bare token hides nothing from the separators.
+pub fn unquoted_bytes(s: &str) -> impl Iterator<Item = (usize, u8)> + '_ {
+    let bytes = s.as_bytes();
+    let (mut i, mut token_start) = (0, true);
+    std::iter::from_fn(move || {
+        while let Some(&b) = bytes.get(i) {
+            if b == b'"' && token_start {
+                if let Some(len) = bytes[i + 1..].iter().position(|&c| c == b'"') {
+                    i += len + 2;
+                    token_start = false;
+                    continue;
+                }
+            }
+            i += 1;
+            token_start = matches!(b, b':' | b'<' | b'=' | b',')
+                || (token_start && b.is_ascii_whitespace());
+            return Some((i - 1, b));
+        }
+        None
+    })
+}
+
+/// The byte offset of the first `sep` outside quoted tokens (see
+/// [`unquoted_bytes`]). `sep` must be an ASCII byte, so the offset is a
+/// char boundary.
+fn find_unquoted(s: &str, sep: u8) -> Option<usize> {
+    unquoted_bytes(s).find(|&(_, b)| b == sep).map(|(i, _)| i)
+}
+
+/// Splits `s` at every `sep` outside quoted tokens (the pieces are not
+/// trimmed). `sep` must be an ASCII byte.
+pub fn split_unquoted(s: &str, sep: u8) -> impl Iterator<Item = &str> {
+    let mut cuts = unquoted_bytes(s).filter(move |&(_, b)| b == sep).map(|(i, _)| i);
+    let mut start = Some(0);
+    std::iter::from_fn(move || {
+        let from = start?;
+        match cuts.next() {
+            Some(i) => {
+                start = Some(i + 1);
+                Some(&s[from..i])
+            }
+            None => {
+                start = None;
+                Some(&s[from..])
+            }
+        }
+    })
 }
 
 /// Removes one level of surrounding double quotes, if present.
-pub fn unquote(s: &str) -> String {
+pub fn unquote(s: &str) -> &str {
     if s.len() >= 2 && s.starts_with('"') && s.ends_with('"') {
-        s[1..s.len() - 1].to_string()
+        &s[1..s.len() - 1]
     } else {
-        s.to_string()
+        s
     }
 }
 
@@ -214,13 +270,14 @@ pub fn instance_to_text(d: &DimensionInstance) -> String {
         if m == Member::ALL {
             continue;
         }
-        let _ = write!(out, "{} : {}", quote(d.key(m)), g.name(d.category_of(m)));
+        push_quoted(&mut out, d.key(m));
+        let _ = write!(out, " : {}", g.name(d.category_of(m)));
         if d.name(m) != d.key(m) {
             let _ = write!(out, " = \"{}\"", d.name(m));
         }
-        let parents: Vec<String> = d.parents(m).iter().map(|&p| quote(d.key(p))).collect();
-        if !parents.is_empty() {
-            let _ = write!(out, " < {}", parents.join(", "));
+        for (i, &p) in d.parents(m).iter().enumerate() {
+            out.push_str(if i == 0 { " < " } else { ", " });
+            push_quoted(&mut out, d.key(p));
         }
         out.push('\n');
     }
@@ -230,10 +287,19 @@ pub fn instance_to_text(d: &DimensionInstance) -> String {
 /// Quotes a token when the bare form would not survive a round trip
 /// through the grammar (whitespace or one of `#:<,="`).
 pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    push_quoted(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out`, quoted by the rule [`quote`] states.
+pub fn push_quoted(out: &mut String, s: &str) {
     if s.is_empty() || s.contains(|c: char| c.is_whitespace() || "#:<,=\"".contains(c)) {
-        format!("\"{s}\"")
+        out.push('"');
+        out.push_str(s);
+        out.push('"');
     } else {
-        s.to_string()
+        out.push_str(s);
     }
 }
 
@@ -332,5 +398,69 @@ mod tests {
         let d = parse_instance(schema(), src).unwrap();
         let x = d.member_by_key("x").unwrap();
         assert_eq!(d.name(x), "number # one");
+    }
+
+    #[test]
+    fn separators_inside_quotes_stay_in_the_token() {
+        let m = parse_member_line("\"a:b\" : Store < t").unwrap().unwrap();
+        assert_eq!((m.key, m.category), ("a:b", "Store"));
+        assert_eq!(m.parents().collect::<Vec<_>>(), ["t"]);
+        let m = parse_member_line("\"a<b\" : Store < t").unwrap().unwrap();
+        assert_eq!((m.key, m.category), ("a<b", "Store"));
+        let m = parse_member_line("u : City = \"x<y\" < all").unwrap().unwrap();
+        assert_eq!((m.key, m.name), ("u", Some("x<y")));
+        assert_eq!(m.parents().collect::<Vec<_>>(), ["all"]);
+        let m = parse_member_line("x : Store < \"p,q\", \"r=s\" # c").unwrap().unwrap();
+        assert_eq!(m.parents().collect::<Vec<_>>(), ["p,q", "r=s"]);
+        assert_eq!(split_unquoted("\"p,q\", r", b',').collect::<Vec<_>>(), ["\"p,q\"", " r"]);
+    }
+
+    #[test]
+    fn stray_quotes_inside_bare_tokens_are_ordinary() {
+        let m = parse_member_line("a\"b : Store < c\"d").unwrap().unwrap();
+        assert_eq!((m.key, m.category), ("a\"b", "Store"));
+        assert_eq!(m.parents().collect::<Vec<_>>(), ["c\"d"]);
+        // `quote` wraps a key holding a quote; it reads back unchanged.
+        let line = format!("{} : Store < {}", quote("a\"b"), quote("\"c"));
+        let m = parse_member_line(&line).unwrap().unwrap();
+        assert_eq!(m.key, "a\"b");
+        assert_eq!(m.parents().collect::<Vec<_>>(), ["\"c"]);
+        // An opening quote with no closing one hides nothing.
+        let m = parse_member_line("\"ab : Store < t").unwrap().unwrap();
+        assert_eq!((m.key, m.category), ("\"ab", "Store"));
+    }
+
+    #[test]
+    fn quoted_tokens_round_trip_every_separator() {
+        let mut src = String::new();
+        for ch in ['#', ':', '<', ',', '=', ' ', '\t'] {
+            let (country, city) = (format!("co{ch}1"), format!("ci{ch}2"));
+            let line = |key: &str, cat: &str, parent: &str| {
+                let mut l = format!("{} : {cat} = \"n{ch}{cat}\" < ", quote(key));
+                push_quoted(&mut l, parent);
+                l.push('\n');
+                l
+            };
+            src.push_str(&format!("{} : Country < all\n", quote(&country)));
+            src.push_str(&line(&city, "City", &country));
+            src.push_str(&line(&format!("s{ch}3"), "Store", &city));
+        }
+        let d = parse_instance(schema(), &src).unwrap();
+        assert_eq!(d.num_members(), 1 + 7 * 3);
+        let d2 = parse_instance(schema(), &instance_to_text(&d)).unwrap();
+        for ch in ['#', ':', '<', ',', '=', ' ', '\t'] {
+            for (key, parent) in [
+                (format!("ci{ch}2"), format!("co{ch}1")),
+                (format!("s{ch}3"), format!("ci{ch}2")),
+            ] {
+                for inst in [&d, &d2] {
+                    let m = inst.member_by_key(&key).unwrap();
+                    let cat = inst.schema().name(inst.category_of(m));
+                    assert_eq!(inst.name(m), format!("n{ch}{cat}"));
+                    let p = inst.parents(m)[0];
+                    assert_eq!(inst.key(p), parent);
+                }
+            }
+        }
     }
 }

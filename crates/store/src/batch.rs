@@ -21,27 +21,31 @@
 //! facts file the user actually has open.
 
 use crate::error::IngestError;
-use odc_core::instance::text::{parse_member_line, strip_comment, unquote, MemberLine};
+use odc_core::instance::text::{
+    parse_member_line, split_unquoted, strip_comment, unquote, unquoted_bytes, MemberLine,
+};
+use std::ops::Range;
 
 /// A member declaration staged for ingest.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RawMember {
+pub struct RawMember<'a> {
     /// 1-based stream line.
     pub row: usize,
     /// Dimension the member belongs to (`@dim` prefix; 0 by default).
     pub dim: usize,
-    /// The parsed member line.
-    pub line: MemberLine,
+    /// The parsed member line, borrowing the stream text.
+    pub line: MemberLine<'a>,
 }
 
-/// A fact row staged for ingest: one member key per dimension plus the
-/// measure.
+/// A fact row staged for ingest: where its member keys sit in the
+/// batch's key column, plus the measure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawFact {
     /// 1-based stream line.
     pub row: usize,
-    /// One key per dimension, in dimension order.
-    pub keys: Vec<String>,
+    /// The row's keys in [`StagedBatch::fact_keys`], one per dimension
+    /// in dimension order.
+    pub keys: Range<usize>,
     /// The measure.
     pub measure: i64,
 }
@@ -49,15 +53,18 @@ pub struct RawFact {
 /// One parsed ingest batch: members first, then facts (the parse keeps
 /// stream order within each group; validation is order-insensitive
 /// inside a batch since the whole batch commits or rejects atomically).
+/// Every key borrows the stream text, which must outlive the batch.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StagedBatch {
+pub struct StagedBatch<'a> {
     /// Member declarations in the batch.
-    pub members: Vec<RawMember>,
+    pub members: Vec<RawMember<'a>>,
     /// Fact rows in the batch.
     pub facts: Vec<RawFact>,
+    /// Every fact row's member keys (unquoted), row after row.
+    pub fact_keys: Vec<&'a str>,
 }
 
-impl StagedBatch {
+impl<'a> StagedBatch<'a> {
     /// Whether the batch stages nothing.
     pub fn is_empty(&self) -> bool {
         self.members.is_empty() && self.facts.is_empty()
@@ -67,13 +74,19 @@ impl StagedBatch {
     pub fn len(&self) -> usize {
         self.members.len() + self.facts.len()
     }
+
+    /// The member keys of one fact row, in dimension order.
+    pub fn keys(&self, fact: &RawFact) -> &[&'a str] {
+        &self.fact_keys[fact.keys.clone()]
+    }
 }
 
-/// Parses a run of stream lines into a batch. `first_line` is the
-/// 1-based stream position of the first line of `src`, so diagnostics
-/// carry global line numbers across batches.
-pub fn parse_batch(src: &str, first_line: usize) -> Result<StagedBatch, IngestError> {
+/// Parses a run of stream lines into a batch that borrows `src`.
+/// `first_line` is the 1-based stream position of the first line of
+/// `src`, so diagnostics carry global line numbers across batches.
+pub fn parse_batch(src: &str, first_line: usize) -> Result<StagedBatch<'_>, IngestError> {
     let mut batch = StagedBatch::default();
+    let lines = src.bytes().filter(|&b| b == b'\n').count() + 1;
     for (i, raw) in src.lines().enumerate() {
         let row = first_line + i;
         let line = strip_comment(raw).trim();
@@ -93,28 +106,31 @@ pub fn parse_batch(src: &str, first_line: usize) -> Result<StagedBatch, IngestEr
                         .into(),
                 });
             }
-            let keys: Vec<String> = keys_part
-                .split(',')
-                .map(|k| unquote(k.trim()))
-                .collect();
-            if keys.iter().any(|k| k.is_empty()) {
-                return Err(IngestError::Syntax {
-                    row,
-                    message: "empty member key in fact row".into(),
-                });
+            if batch.facts.is_empty() {
+                // Size the fact columns once, for the lines left.
+                batch.facts.reserve(lines - i);
+                batch.fact_keys.reserve(lines - i);
+            }
+            let start = batch.fact_keys.len();
+            for k in split_unquoted(keys_part, b',') {
+                let key = unquote(k.trim());
+                if key.is_empty() {
+                    return Err(IngestError::Syntax {
+                        row,
+                        message: "empty member key in fact row".into(),
+                    });
+                }
+                batch.fact_keys.push(key);
             }
             let measure: i64 = measure_part.trim().parse().map_err(|_| IngestError::Syntax {
                 row,
                 message: format!("bad measure `{}`", measure_part.trim()),
             })?;
+            let keys = start..batch.fact_keys.len();
             batch.facts.push(RawFact { row, keys, measure });
         } else {
             match parse_member_line(body) {
-                Ok(Some(member)) => batch.members.push(RawMember {
-                    row,
-                    dim,
-                    line: member,
-                }),
+                Ok(Some(line)) => batch.members.push(RawMember { row, dim, line }),
                 Ok(None) => {}
                 Err(message) => return Err(IngestError::Syntax { row, message }),
             }
@@ -139,19 +155,13 @@ fn split_dim_prefix(line: &str) -> Result<(usize, &str), String> {
     Ok((dim, rest[end..].trim_start()))
 }
 
-/// Finds the byte offset of a `->` outside double quotes, the marker
+/// Finds the byte offset of a `->` outside quoted tokens, the marker
 /// distinguishing fact rows from member lines.
 fn find_arrow(line: &str) -> Option<usize> {
     let bytes = line.as_bytes();
-    let mut in_quotes = false;
-    for i in 0..bytes.len() {
-        match bytes[i] {
-            b'"' => in_quotes = !in_quotes,
-            b'-' if !in_quotes && bytes.get(i + 1) == Some(&b'>') => return Some(i),
-            _ => {}
-        }
-    }
-    None
+    unquoted_bytes(line)
+        .find(|&(i, b)| b == b'-' && bytes.get(i + 1) == Some(&b'>'))
+        .map(|(i, _)| i)
 }
 
 #[cfg(test)]
@@ -167,7 +177,7 @@ mod tests {
         assert_eq!(b.members[0].row, 1);
         assert_eq!(b.members[1].row, 4);
         assert_eq!(b.facts[0].row, 5);
-        assert_eq!(b.facts[0].keys, vec!["s1".to_string()]);
+        assert_eq!(b.keys(&b.facts[0]), ["s1"]);
         assert_eq!(b.facts[0].measure, 42);
         assert_eq!(b.len(), 3);
         assert!(!b.is_empty());
@@ -184,8 +194,11 @@ mod tests {
     #[test]
     fn multi_dim_facts_and_negative_measures() {
         let b = parse_batch("s1, d3 -> -17\n", 1).unwrap();
-        assert_eq!(b.facts[0].keys, vec!["s1".to_string(), "d3".to_string()]);
+        assert_eq!(b.keys(&b.facts[0]), ["s1", "d3"]);
         assert_eq!(b.facts[0].measure, -17);
+        let b = parse_batch("\"p,q\" -> 5\n\"a b\", \"c->d\" -> 6\n", 1).unwrap();
+        assert_eq!(b.keys(&b.facts[0]), ["p,q"]);
+        assert_eq!(b.keys(&b.facts[1]), ["a b", "c->d"]);
     }
 
     #[test]

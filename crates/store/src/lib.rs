@@ -18,9 +18,13 @@
 //!    re-declaration is a typed error, committed members never gain
 //!    violations, so checking the delta suffices. Every rejection is a
 //!    typed [`IngestError`] naming the offending row, dimension column,
-//!    and violated condition. [`FactStore::ingest_batch_full`] keeps
-//!    full revalidation alive as the differential oracle (and the
-//!    benchmark baseline).
+//!    and violated condition. A batch borrows the stream text it was
+//!    parsed from (fact keys are one flat column of `&str`), staging
+//!    keeps new keys in batch-local maps, and only the commit interns
+//!    them — so [`FactStore::check_batch`] leaves the store untouched,
+//!    and ingest allocates per batch, not per row.
+//!    [`FactStore::ingest_batch_full`] keeps full revalidation alive as
+//!    the differential oracle (and the benchmark baseline).
 //! 3. **Constraint-aware rollup execution**:
 //!    [`FactStore::materialize`] computes cuboids straight off the
 //!    rollup columns through `odc_olap::group_by` (byte-identical to

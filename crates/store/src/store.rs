@@ -2,9 +2,12 @@
 //!
 //! Members live in struct-of-arrays *dimension planes*: parallel `u32`
 //! columns for interned key, interned display name, and category, plus a
-//! ragged parent column. Alongside the raw columns each plane maintains
-//! the indexes incremental validation and rollup execution read:
+//! flat parent column with per-member end offsets. Alongside the raw
+//! columns each plane maintains the indexes incremental validation and
+//! rollup execution read:
 //!
+//! * a dense symbol → member column (fact-key resolution: one keyed
+//!   string hash in the interner, one array read);
 //! * per-category membership bitsets (cuboid cardinalities, C4);
 //! * the base-member bitset (fact admission);
 //! * dense rollup columns `rollup[c][m]` — the unique ancestor of member
@@ -20,6 +23,12 @@
 //! can never acquire new violations. [`FactStore::ingest_batch_full`]
 //! keeps the full-revalidation path alive as the differential oracle.
 //!
+//! The staged delta is columnar too: members as columns borrowing the
+//! batch text, fact coordinates as one flat column (`nd` entries per
+//! row), and each staged member's ancestor row computed once, during
+//! validation, into one flat column (`nc` entries per member) that the
+//! commit appends as is.
+//!
 //! Known limitation: when the staged members form a `<`-cycle, the
 //! incremental path reports the C6 cycle and skips the closure-based
 //! checks (C2, same-category C6, C5) for that dimension, exactly as the
@@ -31,7 +40,7 @@ use crate::error::IngestError;
 use crate::intern::Interner;
 use odc_core::constraint::DimensionSchema;
 use odc_core::hierarchy::{Category, HierarchySchema};
-use odc_core::instance::text::quote;
+use odc_core::instance::text::push_quoted;
 use odc_core::instance::{validate, DimensionInstance, Member};
 use odc_core::olap::{group_by, AggFn, Cuboid, GroupColumn, MultiFactTable, NO_GROUP};
 use std::collections::HashMap;
@@ -60,10 +69,14 @@ struct DimPlane {
     names: Vec<u32>,
     /// Category index per member.
     category: Vec<u32>,
-    /// Direct parents (member indices) per member.
-    parents: Vec<Vec<u32>>,
-    /// Key symbol → member index.
-    by_key: HashMap<u32, u32>,
+    /// Direct parents (member indices) of every member, member after
+    /// member; member `v`'s run ends at `parent_end[v]`.
+    parents: Vec<u32>,
+    /// End offset of each member's run in `parents`.
+    parent_end: Vec<u32>,
+    /// Key symbol → member index (`NONE` for symbols that key no member
+    /// of this dimension, or past the end).
+    member_of: Vec<u32>,
     /// Per-category membership.
     members_in: Vec<BitSet>,
     /// Members of bottom categories (fact admission).
@@ -87,13 +100,16 @@ impl DimPlane {
         let rollup = (0..nc)
             .map(|c| vec![if c == Category::ALL.index() { 0 } else { NONE }])
             .collect();
+        let mut member_of = vec![NONE; all_sym as usize + 1];
+        member_of[all_sym as usize] = 0;
         DimPlane {
             schema,
             keys: vec![all_sym],
             names: vec![all_sym],
             category: vec![Category::ALL.index() as u32],
-            parents: vec![Vec::new()],
-            by_key: HashMap::from([(all_sym, 0)]),
+            parents: Vec::new(),
+            parent_end: vec![0],
+            member_of,
             members_in,
             base: BitSet::new(),
             bottom,
@@ -104,30 +120,69 @@ impl DimPlane {
     fn len(&self) -> usize {
         self.keys.len()
     }
+
+    /// Member `v`'s direct parents.
+    fn parents(&self, v: usize) -> &[u32] {
+        run(&self.parents, &self.parent_end, v)
+    }
+
+    /// The committed member keyed by `key`, if any.
+    fn member(&self, interner: &Interner, key: &str) -> Option<u32> {
+        let sym = interner.get(key)?;
+        self.member_of
+            .get(sym as usize)
+            .copied()
+            .filter(|&v| v != NONE)
+    }
 }
 
-/// A member staged for commit. `parents` hold *final* member indices:
-/// committed members keep their index, batch members get the index they
-/// will occupy after the commit appends them in staged order.
-#[derive(Debug)]
-struct StagedMember {
-    row: usize,
-    key: u32,
-    name: u32,
-    category: u32,
-    parents: Vec<u32>,
+/// One dimension's staged members, as columns in staged (= commit)
+/// order. Keys and names borrow the batch text; nothing is interned
+/// before commit. Parents hold *final* member indices: committed
+/// members keep their index, batch members get the index they will
+/// occupy after the commit appends them in staged order.
+#[derive(Debug, Default)]
+struct DimDelta<'b> {
+    rows: Vec<usize>,
+    keys: Vec<&'b str>,
+    names: Vec<&'b str>,
+    category: Vec<u32>,
     /// Whether the source line declared any parent (distinguishes C7
     /// orphans from members whose parents merely failed to resolve).
-    had_parents: bool,
+    had_parents: Vec<bool>,
+    /// Resolved parents, member after member; member `i`'s run ends at
+    /// `parent_end[i]`.
+    parents: Vec<u32>,
+    parent_end: Vec<u32>,
+    /// Batch-local key → staged index.
+    by_key: HashMap<&'b str, u32>,
+    /// Unique-ancestor rows, `nc` entries per staged member, filled once
+    /// by validation (or by the unchecked path) and appended by commit.
+    anc: Vec<u32>,
+}
+
+impl DimDelta<'_> {
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Staged member `i`'s resolved parents.
+    fn parents(&self, i: usize) -> &[u32] {
+        run(&self.parents, &self.parent_end, i)
+    }
 }
 
 /// A resolved, not-yet-validated batch.
 #[derive(Debug, Default)]
-struct Delta {
-    /// Per dimension: members in staged (= commit) order.
-    members: Vec<Vec<StagedMember>>,
-    /// Fact rows: stream line, final member index per dimension, measure.
-    facts: Vec<(usize, Vec<u32>, i64)>,
+struct Delta<'b> {
+    /// Per dimension: the staged members.
+    members: Vec<DimDelta<'b>>,
+    /// Stream line per fact row.
+    fact_rows: Vec<usize>,
+    /// Final member index per fact row and dimension, `nd` per row.
+    coords: Vec<u32>,
+    /// Measure per fact row.
+    measures: Vec<i64>,
     errors: Vec<IngestError>,
 }
 
@@ -205,7 +260,7 @@ impl FactStore {
     /// Ingests one staged batch: incremental C1–C7 validation of the
     /// delta against the maintained indexes, then an atomic commit.
     /// On error nothing is committed and the smallest-row error returns.
-    pub fn ingest_batch(&mut self, batch: &StagedBatch) -> Result<BatchStats, IngestError> {
+    pub fn ingest_batch(&mut self, batch: &StagedBatch<'_>) -> Result<BatchStats, IngestError> {
         let mut delta = self.stage(batch);
         self.validate_delta(&mut delta);
         if !delta.errors.is_empty() {
@@ -216,9 +271,9 @@ impl FactStore {
     }
 
     /// Validates one staged batch incrementally *without* committing,
-    /// returning every violation found (sorted by row). The interner may
-    /// grow; no other state changes.
-    pub fn check_batch(&mut self, batch: &StagedBatch) -> Vec<IngestError> {
+    /// returning every violation found (sorted by row). The store is left
+    /// untouched: staging interns nothing.
+    pub fn check_batch(&self, batch: &StagedBatch<'_>) -> Vec<IngestError> {
         let mut delta = self.stage(batch);
         self.validate_delta(&mut delta);
         delta.errors.sort_by_key(IngestError::row);
@@ -230,11 +285,14 @@ impl FactStore {
     /// `odc_instance::validate` plus a full fact scan, and rolling the
     /// commit back if anything is wrong. Slow by design — this is what
     /// incremental validation is benchmarked (and fuzzed) against.
-    pub fn ingest_batch_full(&mut self, batch: &StagedBatch) -> Result<BatchStats, IngestError> {
+    pub fn ingest_batch_full(&mut self, batch: &StagedBatch<'_>) -> Result<BatchStats, IngestError> {
         let mut delta = self.stage(batch);
         if !delta.errors.is_empty() {
             delta.errors.sort_by_key(IngestError::row);
             return Err(delta.errors.remove(0));
+        }
+        for (dim, dd) in delta.members.iter_mut().enumerate() {
+            dd.anc = self.anc_rows(dim, dd);
         }
         let snap_members: Vec<usize> = self.planes.iter().map(DimPlane::len).collect();
         let snap_facts = self.measures.len();
@@ -299,17 +357,16 @@ impl FactStore {
 
     // ---- staging ---------------------------------------------------
 
-    /// Resolves a batch against the store: interns keys, resolves
-    /// categories and parents (forward references inside the batch are
-    /// legal), and resolves fact coordinates. Collects resolution errors
-    /// without stopping, skipping unresolvable items.
-    fn stage(&mut self, batch: &StagedBatch) -> Delta {
+    /// Resolves a batch against the store: resolves categories and
+    /// parents (forward references inside the batch are legal) and fact
+    /// coordinates, keeping new keys in batch-local maps. Collects
+    /// resolution errors without stopping, skipping unresolvable items.
+    fn stage<'b>(&self, batch: &StagedBatch<'b>) -> Delta<'b> {
         let nd = self.planes.len();
         let mut delta = Delta {
-            members: (0..nd).map(|_| Vec::new()).collect(),
+            members: (0..nd).map(|_| DimDelta::default()).collect(),
             ..Delta::default()
         };
-        let mut staged_by_key: Vec<HashMap<u32, u32>> = (0..nd).map(|_| HashMap::new()).collect();
         // Pass 1: member identities.
         for rm in &batch.members {
             let row = rm.row;
@@ -320,11 +377,12 @@ impl FactStore {
                 });
                 continue;
             }
-            let Some(cat) = self.planes[rm.dim].schema.category_by_name(&rm.line.category) else {
+            let plane = &self.planes[rm.dim];
+            let Some(cat) = plane.schema.category_by_name(rm.line.category) else {
                 delta.errors.push(IngestError::UnknownCategory {
                     row,
                     dim: rm.dim,
-                    name: rm.line.category.clone(),
+                    name: rm.line.category.to_string(),
                 });
                 continue;
             };
@@ -333,119 +391,101 @@ impl FactStore {
                     row,
                     dim: rm.dim,
                     condition: 4,
-                    member: rm.line.key.clone(),
+                    member: rm.line.key.to_string(),
                     detail: "a second member in All (All must be exactly {all})".into(),
                 });
                 continue;
             }
-            let key = self.interner.intern(&rm.line.key);
-            if self.planes[rm.dim].by_key.contains_key(&key)
-                || staged_by_key[rm.dim].contains_key(&key)
-            {
+            let key = rm.line.key;
+            let dd = &mut delta.members[rm.dim];
+            if plane.member(&self.interner, key).is_some() || dd.by_key.contains_key(key) {
                 delta.errors.push(IngestError::DuplicateMember {
                     row,
                     dim: rm.dim,
-                    key: rm.line.key.clone(),
+                    key: key.to_string(),
                 });
                 continue;
             }
-            let name = match &rm.line.name {
-                Some(n) => self.interner.intern(n),
-                None => key,
-            };
-            staged_by_key[rm.dim].insert(key, delta.members[rm.dim].len() as u32);
-            delta.members[rm.dim].push(StagedMember {
-                row,
-                key,
-                name,
-                category: cat.index() as u32,
-                parents: Vec::new(),
-                had_parents: !rm.line.parents.is_empty(),
-            });
+            dd.by_key.insert(key, dd.len() as u32);
+            dd.rows.push(row);
+            dd.keys.push(key);
+            dd.names.push(rm.line.name.unwrap_or(key));
+            dd.category.push(cat.index() as u32);
+            dd.had_parents.push(rm.line.parents().next().is_some());
         }
         // Pass 2: parent links (staged keys may be referenced forward, so
-        // this runs after all identities exist). Walk the batch again and
-        // route each line to its staged slot, skipping lines pass 1
+        // this runs after all identities exist). Walk the batch again;
+        // per dimension, the accepted lines come back in staged order, so
+        // a cursor routes each to its slot and skips lines pass 1
         // rejected.
+        let mut next = vec![0usize; nd];
         for rm in &batch.members {
             if rm.dim >= nd {
                 continue;
             }
-            let Some(sym) = self.interner.get(&rm.line.key) else {
-                continue;
-            };
-            let Some(&sidx) = staged_by_key[rm.dim].get(&sym) else {
-                continue;
-            };
-            let sm = &delta.members[rm.dim][sidx as usize];
-            if sm.row != rm.row {
-                continue; // a later duplicate of an accepted key
+            let dd = &mut delta.members[rm.dim];
+            let i = next[rm.dim];
+            if dd.rows.get(i) != Some(&rm.row) {
+                continue; // rejected in pass 1
             }
-            let n_old = self.planes[rm.dim].len() as u32;
-            let mut parents = Vec::with_capacity(rm.line.parents.len());
-            for p in &rm.line.parents {
+            next[rm.dim] += 1;
+            let plane = &self.planes[rm.dim];
+            let n_old = plane.len() as u32;
+            for p in rm.line.parents() {
                 let resolved = if p == "all" {
                     Some(0u32)
                 } else {
-                    self.interner.get(p).and_then(|psym| {
-                        self.planes[rm.dim]
-                            .by_key
-                            .get(&psym)
-                            .copied()
-                            .or_else(|| staged_by_key[rm.dim].get(&psym).map(|&s| n_old + s))
-                    })
+                    plane
+                        .member(&self.interner, p)
+                        .or_else(|| dd.by_key.get(p).map(|&s| n_old + s))
                 };
                 match resolved {
-                    Some(v) => parents.push(v),
+                    Some(v) => dd.parents.push(v),
                     None => delta.errors.push(IngestError::UnknownParent {
                         row: rm.row,
                         dim: rm.dim,
-                        key: rm.line.key.clone(),
-                        parent: p.clone(),
+                        key: rm.line.key.to_string(),
+                        parent: p.to_string(),
                     }),
                 }
             }
-            delta.members[rm.dim][sidx as usize].parents = parents;
+            dd.parent_end.push(dd.parents.len() as u32);
         }
         // Facts.
-        for rf in &batch.facts {
-            if rf.keys.len() != nd {
+        delta.fact_rows.reserve(batch.facts.len());
+        delta.coords.reserve(batch.facts.len() * nd);
+        delta.measures.reserve(batch.facts.len());
+        'facts: for rf in &batch.facts {
+            let keys = batch.keys(rf);
+            if keys.len() != nd {
                 delta.errors.push(IngestError::Syntax {
                     row: rf.row,
-                    message: format!(
-                        "fact keys {} dimension(s), store has {nd}",
-                        rf.keys.len()
-                    ),
+                    message: format!("fact keys {} dimension(s), store has {nd}", keys.len()),
                 });
                 continue;
             }
-            let mut coords = Vec::with_capacity(nd);
-            let mut ok = true;
-            for (dim, key) in rf.keys.iter().enumerate() {
-                let n_old = self.planes[dim].len() as u32;
-                let resolved = self.interner.get(key).and_then(|sym| {
-                    self.planes[dim]
-                        .by_key
-                        .get(&sym)
-                        .copied()
-                        .or_else(|| staged_by_key[dim].get(&sym).map(|&s| n_old + s))
-                });
+            let start = delta.coords.len();
+            for (dim, &key) in keys.iter().enumerate() {
+                let plane = &self.planes[dim];
+                let n_old = plane.len() as u32;
+                let resolved = plane
+                    .member(&self.interner, key)
+                    .or_else(|| delta.members[dim].by_key.get(key).map(|&s| n_old + s));
                 match resolved {
-                    Some(v) => coords.push(v),
+                    Some(v) => delta.coords.push(v),
                     None => {
                         delta.errors.push(IngestError::UnknownFactMember {
                             row: rf.row,
                             dim,
-                            key: key.clone(),
+                            key: key.to_string(),
                         });
-                        ok = false;
-                        break;
+                        delta.coords.truncate(start);
+                        continue 'facts;
                     }
                 }
             }
-            if ok {
-                delta.facts.push((rf.row, coords, rf.measure));
-            }
+            delta.fact_rows.push(rf.row);
+            delta.measures.push(rf.measure);
         }
         delta
     }
@@ -453,37 +493,37 @@ impl FactStore {
     // ---- incremental validation ------------------------------------
 
     /// Checks the staged delta against the maintained indexes ("validate
-    /// the batch, not the world") and appends any violation to
-    /// `delta.errors`.
-    fn validate_delta(&self, delta: &mut Delta) {
+    /// the batch, not the world"), appends any violation to
+    /// `delta.errors`, and leaves each dimension's ancestor rows in its
+    /// [`DimDelta`] for the commit.
+    fn validate_delta(&self, delta: &mut Delta<'_>) {
         for dim in 0..self.planes.len() {
-            let mut errs = Vec::new();
-            {
-                let staged = &delta.members[dim];
-                if !staged.is_empty() {
-                    self.validate_dim_delta(dim, staged, &mut errs);
-                }
+            if delta.members[dim].len() > 0 {
+                self.validate_dim_delta(dim, &mut delta.members[dim], &mut delta.errors);
             }
-            delta.errors.append(&mut errs);
         }
         // Facts: every coordinate must sit in a bottom category. New
         // members count — the whole batch commits together.
-        let mut errs = Vec::new();
-        for &(row, ref coords, _) in &delta.facts {
+        let nd = self.planes.len();
+        for (&row, coords) in delta.fact_rows.iter().zip(delta.coords.chunks_exact(nd)) {
             for (dim, &v) in coords.iter().enumerate() {
                 let plane = &self.planes[dim];
                 let n_old = plane.len() as u32;
-                let (cat, key) = if v < n_old {
-                    (plane.category[v as usize], plane.keys[v as usize])
+                let cat = if v < n_old {
+                    plane.category[v as usize]
                 } else {
-                    let sm = &delta.members[dim][(v - n_old) as usize];
-                    (sm.category, sm.key)
+                    delta.members[dim].category[(v - n_old) as usize]
                 };
                 if !plane.bottom[cat as usize] {
-                    errs.push(IngestError::NonBaseFact {
+                    let key = if v < n_old {
+                        self.interner.resolve(plane.keys[v as usize])
+                    } else {
+                        delta.members[dim].keys[(v - n_old) as usize]
+                    };
+                    delta.errors.push(IngestError::NonBaseFact {
                         row,
                         dim,
-                        key: self.interner.resolve(key).to_string(),
+                        key: key.to_string(),
                         category: plane
                             .schema
                             .name(Category::from_index(cat as usize))
@@ -492,60 +532,60 @@ impl FactStore {
                 }
             }
         }
-        delta.errors.append(&mut errs);
     }
 
-    fn validate_dim_delta(&self, dim: usize, staged: &[StagedMember], errs: &mut Vec<IngestError>) {
+    fn validate_dim_delta(&self, dim: usize, staged: &mut DimDelta<'_>, errs: &mut Vec<IngestError>) {
         let plane = &self.planes[dim];
         let g = &plane.schema;
         let nc = g.num_categories();
         let n_old = plane.len() as u32;
-        let cat_of = |v: u32| -> u32 {
+        let key_of = |staged: &DimDelta<'_>, v: u32| -> String {
+            if v < n_old {
+                self.interner.resolve(plane.keys[v as usize]).to_string()
+            } else {
+                staged.keys[(v - n_old) as usize].to_string()
+            }
+        };
+        let cat_of = |staged: &DimDelta<'_>, v: u32| -> u32 {
             if v < n_old {
                 plane.category[v as usize]
             } else {
-                staged[(v - n_old) as usize].category
-            }
-        };
-        let key_of = |v: u32| -> &str {
-            if v < n_old {
-                self.interner.resolve(plane.keys[v as usize])
-            } else {
-                self.interner.resolve(staged[(v - n_old) as usize].key)
+                staged.category[(v - n_old) as usize]
             }
         };
         // C1 (connectivity) and C7 (up-connectivity). Only delta members
         // can violate them: committed members never gain or lose links.
-        for (i, sm) in staged.iter().enumerate() {
+        for i in 0..staged.len() {
             let v = n_old + i as u32;
-            if sm.parents.is_empty() {
-                if !sm.had_parents {
+            let (row, category) = (staged.rows[i], staged.category[i]);
+            if staged.parents(i).is_empty() {
+                if !staged.had_parents[i] {
                     // Parents that merely failed to resolve already
                     // produced UnknownParent; a genuine orphan is C7.
                     errs.push(IngestError::Condition {
-                        row: sm.row,
+                        row,
                         dim,
                         condition: 7,
-                        member: key_of(v).to_string(),
+                        member: key_of(staged, v),
                         detail: "member has no parent".into(),
                     });
                 }
                 continue;
             }
-            for &p in &sm.parents {
+            for &p in staged.parents(i) {
                 let (cc, pc) = (
-                    Category::from_index(sm.category as usize),
-                    Category::from_index(cat_of(p) as usize),
+                    Category::from_index(category as usize),
+                    Category::from_index(cat_of(staged, p) as usize),
                 );
                 if !g.has_edge(cc, pc) {
                     errs.push(IngestError::Condition {
-                        row: sm.row,
+                        row,
                         dim,
                         condition: 1,
-                        member: key_of(v).to_string(),
+                        member: key_of(staged, v),
                         detail: format!(
                             "link to `{}` crosses {} ↗ {}, not a schema edge",
-                            key_of(p),
+                            key_of(staged, p),
                             g.name(cc),
                             g.name(pc)
                         ),
@@ -557,10 +597,10 @@ impl FactStore {
         // so any new cycle lies entirely within the batch.
         if let Some(i) = staged_cycle(staged, n_old) {
             errs.push(IngestError::Condition {
-                row: staged[i].row,
+                row: staged.rows[i],
                 dim,
                 condition: 6,
-                member: key_of(n_old + i as u32).to_string(),
+                member: key_of(staged, n_old + i as u32),
                 detail: "link cycle among batch members".into(),
             });
             // No closure on a cyclic delta (mirrors the full validator,
@@ -571,50 +611,56 @@ impl FactStore {
         // row across all categories, merged from parent rows (committed
         // parents read their plane rollup columns). Clashes are C2;
         // same-category proper ancestors are C6; rows then drive C5.
-        let anc = self.anc_rows(dim, staged);
-        for (i, sm) in staged.iter().enumerate() {
+        staged.anc = self.anc_rows(dim, staged);
+        let staged = &*staged;
+        let anc_of = |p: u32, c: usize| -> u32 {
+            if p < n_old {
+                plane.rollup[c][p as usize]
+            } else {
+                staged.anc[(p - n_old) as usize * nc + c]
+            }
+        };
+        let mut reported = vec![false; nc];
+        for i in 0..staged.len() {
             let v = n_old + i as u32;
-            let mut reported = vec![false; nc];
-            for &p in &sm.parents {
-                for c in 0..nc {
-                    let cand = if p < n_old {
-                        plane.rollup[c][p as usize]
-                    } else {
-                        anc[(p - n_old) as usize][c]
-                    };
+            let (row, category) = (staged.rows[i], staged.category[i] as usize);
+            reported.fill(false);
+            for &p in staged.parents(i) {
+                for (c, seen) in reported.iter_mut().enumerate() {
+                    let cand = anc_of(p, c);
                     if cand == NONE {
                         continue;
                     }
-                    if c == sm.category as usize {
-                        if cand != v && !reported[c] {
-                            reported[c] = true;
+                    if c == category {
+                        if cand != v && !*seen {
+                            *seen = true;
                             errs.push(IngestError::Condition {
-                                row: sm.row,
+                                row,
                                 dim,
                                 condition: 6,
-                                member: key_of(v).to_string(),
+                                member: key_of(staged, v),
                                 detail: format!(
                                     "rolls up to `{}` within its own category {}",
-                                    key_of(cand),
+                                    key_of(staged, cand),
                                     g.name(Category::from_index(c))
                                 ),
                             });
                         }
                         continue;
                     }
-                    let have = anc[i][c];
+                    let have = staged.anc[i * nc + c];
                     debug_assert_ne!(have, NONE, "anc row missing a merged ancestor");
-                    if have != cand && !reported[c] {
-                        reported[c] = true;
+                    if have != cand && !*seen {
+                        *seen = true;
                         errs.push(IngestError::Condition {
-                            row: sm.row,
+                            row,
                             dim,
                             condition: 2,
-                            member: key_of(v).to_string(),
+                            member: key_of(staged, v),
                             detail: format!(
                                 "rolls up to both `{}` and `{}` in category {}",
-                                key_of(have),
-                                key_of(cand),
+                                key_of(staged, have),
+                                key_of(staged, cand),
                                 g.name(Category::from_index(c))
                             ),
                         });
@@ -624,29 +670,20 @@ impl FactStore {
         }
         // C5 (no shortcuts): the direct link x < y is redundant when a
         // sibling parent p already reaches y.
-        for (i, sm) in staged.iter().enumerate() {
+        for i in 0..staged.len() {
             let v = n_old + i as u32;
-            for &y in &sm.parents {
-                let yc = cat_of(y) as usize;
-                let duplicated = sm.parents.iter().any(|&p| {
-                    p != y && {
-                        let a = if p < n_old {
-                            plane.rollup[yc][p as usize]
-                        } else {
-                            anc[(p - n_old) as usize][yc]
-                        };
-                        a == y
-                    }
-                });
-                if duplicated {
+            let parents = staged.parents(i);
+            for &y in parents {
+                let yc = cat_of(staged, y) as usize;
+                if parents.iter().any(|&p| p != y && anc_of(p, yc) == y) {
                     errs.push(IngestError::Condition {
-                        row: sm.row,
+                        row: staged.rows[i],
                         dim,
                         condition: 5,
-                        member: key_of(v).to_string(),
+                        member: key_of(staged, v),
                         detail: format!(
                             "direct link to `{}` is shortcut by a longer chain",
-                            key_of(y)
+                            key_of(staged, y)
                         ),
                     });
                 }
@@ -655,25 +692,28 @@ impl FactStore {
     }
 
     /// Unique-ancestor rows for the staged members of one dimension, in
-    /// staged order. Keep-first on clashes and tolerant of cycles (the
-    /// validating caller detects both separately); committed parents
-    /// contribute their plane rollup columns.
-    fn anc_rows(&self, dim: usize, staged: &[StagedMember]) -> Vec<Vec<u32>> {
+    /// staged order, `nc` entries per member. Keep-first on clashes and
+    /// tolerant of cycles (the validating caller detects both
+    /// separately); committed parents contribute their plane rollup
+    /// columns.
+    fn anc_rows(&self, dim: usize, staged: &DimDelta<'_>) -> Vec<u32> {
         let plane = &self.planes[dim];
         let nc = plane.schema.num_categories();
         let n_old = plane.len() as u32;
-        let mut anc: Vec<Vec<u32>> = vec![Vec::new(); staged.len()];
+        let mut anc = vec![NONE; staged.len() * nc];
         // 0 = untouched, 1 = entered, 2 = done.
         let mut state = vec![0u8; staged.len()];
         enum Task {
             Enter(usize),
             Exit(usize),
         }
+        let mut todo = Vec::new();
+        let mut row = vec![NONE; nc];
         for start in 0..staged.len() {
             if state[start] != 0 {
                 continue;
             }
-            let mut todo = vec![Task::Enter(start)];
+            todo.push(Task::Enter(start));
             while let Some(task) = todo.pop() {
                 match task {
                     Task::Enter(u) => {
@@ -682,16 +722,16 @@ impl FactStore {
                         }
                         state[u] = 1;
                         todo.push(Task::Exit(u));
-                        for &p in &staged[u].parents {
+                        for &p in staged.parents(u) {
                             if p >= n_old && state[(p - n_old) as usize] == 0 {
                                 todo.push(Task::Enter((p - n_old) as usize));
                             }
                         }
                     }
                     Task::Exit(u) => {
-                        let mut row = vec![NONE; nc];
-                        row[staged[u].category as usize] = n_old + u as u32;
-                        for &p in &staged[u].parents {
+                        row.fill(NONE);
+                        row[staged.category[u] as usize] = n_old + u as u32;
+                        for &p in staged.parents(u) {
                             for (c, slot) in row.iter_mut().enumerate() {
                                 let cand = if p < n_old {
                                     plane.rollup[c][p as usize]
@@ -699,14 +739,14 @@ impl FactStore {
                                     let s = (p - n_old) as usize;
                                     // On a cycle the parent row may not be
                                     // done yet; skip its contribution.
-                                    if state[s] == 2 { anc[s][c] } else { NONE }
+                                    if state[s] == 2 { anc[s * nc + c] } else { NONE }
                                 };
                                 if cand != NONE && *slot == NONE {
                                     *slot = cand;
                                 }
                             }
                         }
-                        anc[u] = row;
+                        anc[u * nc..(u + 1) * nc].copy_from_slice(&row);
                         state[u] = 2;
                     }
                 }
@@ -717,39 +757,57 @@ impl FactStore {
 
     // ---- commit / rollback -----------------------------------------
 
-    fn commit(&mut self, delta: Delta) -> BatchStats {
+    /// Appends a validated delta: interns its keys and names, extends the
+    /// member columns and indexes (reusing the ancestor rows validation
+    /// computed), and extends the fact columns.
+    fn commit(&mut self, delta: Delta<'_>) -> BatchStats {
         let mut stats = BatchStats::default();
-        for (dim, staged) in delta.members.into_iter().enumerate() {
-            if staged.is_empty() {
+        for (plane, staged) in self.planes.iter_mut().zip(delta.members) {
+            let n = staged.len();
+            if n == 0 {
                 continue;
             }
-            let anc = self.anc_rows(dim, &staged);
-            let plane = &mut self.planes[dim];
+            let nc = plane.rollup.len();
             let n_old = plane.len() as u32;
-            for (i, sm) in staged.iter().enumerate() {
+            plane.keys.reserve(n);
+            plane.names.reserve(n);
+            for (i, (&key, &name)) in staged.keys.iter().zip(&staged.names).enumerate() {
                 let v = n_old + i as u32;
-                plane.keys.push(sm.key);
-                plane.names.push(sm.name);
-                plane.category.push(sm.category);
-                plane.parents.push(sm.parents.clone());
-                plane.by_key.insert(sm.key, v);
-                plane.members_in[sm.category as usize].insert(v);
-                if plane.bottom[sm.category as usize] {
+                let key_sym = self.interner.intern(key);
+                let name_sym = if name == key {
+                    key_sym
+                } else {
+                    self.interner.intern(name)
+                };
+                plane.keys.push(key_sym);
+                plane.names.push(name_sym);
+                if plane.member_of.len() <= key_sym as usize {
+                    plane.member_of.resize(self.interner.len(), NONE);
+                }
+                plane.member_of[key_sym as usize] = v;
+                let c = staged.category[i];
+                plane.members_in[c as usize].insert(v);
+                if plane.bottom[c as usize] {
                     plane.base.insert(v);
                 }
-                for (col, &a) in plane.rollup.iter_mut().zip(&anc[i]) {
-                    col.push(a);
-                }
             }
-            stats.members += staged.len();
-        }
-        for (_, coords, measure) in delta.facts {
-            for (dim, v) in coords.into_iter().enumerate() {
-                self.fact_cols[dim].push(v);
+            plane.category.extend_from_slice(&staged.category);
+            let base = *plane.parent_end.last().unwrap_or(&0);
+            plane.parents.extend_from_slice(&staged.parents);
+            plane
+                .parent_end
+                .extend(staged.parent_end.iter().map(|&e| base + e));
+            for (c, col) in plane.rollup.iter_mut().enumerate() {
+                col.extend(staged.anc.iter().skip(c).step_by(nc));
             }
-            self.measures.push(measure);
-            stats.facts += 1;
+            stats.members += n;
         }
+        let nd = self.fact_cols.len();
+        for (dim, col) in self.fact_cols.iter_mut().enumerate() {
+            col.extend(delta.coords.iter().skip(dim).step_by(nd));
+        }
+        self.measures.extend_from_slice(&delta.measures);
+        stats.facts = delta.measures.len();
         self.batches += 1;
         stats
     }
@@ -757,14 +815,16 @@ impl FactStore {
     fn rollback(&mut self, snap_members: &[usize], snap_facts: usize) {
         for (plane, &n0) in self.planes.iter_mut().zip(snap_members) {
             for v in n0..plane.len() {
-                plane.by_key.remove(&plane.keys[v]);
+                plane.member_of[plane.keys[v] as usize] = NONE;
                 plane.members_in[plane.category[v] as usize].remove(v as u32);
                 plane.base.remove(v as u32);
             }
             plane.keys.truncate(n0);
             plane.names.truncate(n0);
             plane.category.truncate(n0);
-            plane.parents.truncate(n0);
+            plane.parent_end.truncate(n0);
+            let parents = *plane.parent_end.last().unwrap_or(&0);
+            plane.parents.truncate(parents as usize);
             for col in &mut plane.rollup {
                 col.truncate(n0);
             }
@@ -792,7 +852,7 @@ impl FactStore {
             debug_assert_eq!(m.index(), v);
         }
         for v in 1..plane.len() {
-            for &p in &plane.parents[v] {
+            for &p in plane.parents(v) {
                 ib.link(Member::from_index(v), Member::from_index(p as usize));
             }
         }
@@ -949,33 +1009,8 @@ impl FactStore {
                 odc_core::schema_to_text(&self.schemas[k]),
             )
             .map_err(io)?;
-            let mut txt = String::new();
-            for v in 1..plane.len() {
-                let key = self.interner.resolve(plane.keys[v]);
-                let name = self.interner.resolve(plane.names[v]);
-                let cat = plane
-                    .schema
-                    .name(Category::from_index(plane.category[v] as usize));
-                txt.push_str(&format!("{} : {}", quote(key), cat));
-                if name != key {
-                    txt.push_str(&format!(" = \"{name}\""));
-                }
-                if !plane.parents[v].is_empty() {
-                    let ps: Vec<String> = plane.parents[v]
-                        .iter()
-                        .map(|&p| {
-                            if p == 0 {
-                                "all".to_string()
-                            } else {
-                                quote(self.interner.resolve(plane.keys[p as usize]))
-                            }
-                        })
-                        .collect();
-                    txt.push_str(&format!(" < {}", ps.join(", ")));
-                }
-                txt.push('\n');
-            }
-            std::fs::write(dir.join(format!("members.{k}.odct")), txt).map_err(io)?;
+            std::fs::write(dir.join(format!("members.{k}.odct")), self.member_text(plane))
+                .map_err(io)?;
         }
         let mut buf = Vec::with_capacity(16 + self.measures.len() * (4 * self.planes.len() + 8));
         buf.extend_from_slice(b"ODCSTORE1");
@@ -990,6 +1025,49 @@ impl FactStore {
             buf.extend_from_slice(&m.to_le_bytes());
         }
         std::fs::write(dir.join("facts.bin"), buf).map_err(io)
+    }
+
+    /// One plane's member file: the instance member grammar, one line
+    /// per member in plane order, written into one buffer sized up
+    /// front.
+    fn member_text(&self, plane: &DimPlane) -> String {
+        let text = |v: u32| self.interner.resolve(v);
+        let cat = |v: usize| plane.schema.name(Category::from_index(plane.category[v] as usize));
+        // Per line at most: a quoted key, ` : `, the category, ` = "…"`,
+        // and each parent quoted after `, ` or ` < `, then a newline.
+        let cap: usize = (1..plane.len())
+            .map(|v| {
+                let parents: usize = plane
+                    .parents(v)
+                    .iter()
+                    .map(|&p| text(plane.keys[p as usize]).len() + 4)
+                    .sum();
+                text(plane.keys[v]).len() + text(plane.names[v]).len() + cat(v).len() + 12 + parents
+            })
+            .sum();
+        let mut txt = String::with_capacity(cap);
+        for v in 1..plane.len() {
+            let key = text(plane.keys[v]);
+            let name = text(plane.names[v]);
+            push_quoted(&mut txt, key);
+            txt.push_str(" : ");
+            txt.push_str(cat(v));
+            if name != key {
+                txt.push_str(" = \"");
+                txt.push_str(name);
+                txt.push('"');
+            }
+            for (i, &p) in plane.parents(v).iter().enumerate() {
+                txt.push_str(if i == 0 { " < " } else { ", " });
+                if p == 0 {
+                    txt.push_str("all");
+                } else {
+                    push_quoted(&mut txt, text(plane.keys[p as usize]));
+                }
+            }
+            txt.push('\n');
+        }
+        txt
     }
 
     /// Loads a store saved by [`FactStore::save`]. Members re-ingest
@@ -1017,11 +1095,13 @@ impl FactStore {
             )));
         }
         let mut store = FactStore::new(schemas);
+        let texts = (0..store.num_dims())
+            .map(|k| std::fs::read_to_string(dir.join(format!("members.{k}.odct"))))
+            .collect::<Result<Vec<String>, _>>()
+            .map_err(io)?;
         let mut combined = StagedBatch::default();
-        for k in 0..store.num_dims() {
-            let text =
-                std::fs::read_to_string(dir.join(format!("members.{k}.odct"))).map_err(io)?;
-            let mut batch = parse_batch(&text, 1)?;
+        for (k, text) in texts.iter().enumerate() {
+            let mut batch = parse_batch(text, 1)?;
             for rm in &mut batch.members {
                 rm.dim = k;
             }
@@ -1071,6 +1151,12 @@ impl FactStore {
     }
 }
 
+/// Run `i` of a flat column whose runs end at `ends`.
+fn run<'a>(flat: &'a [u32], ends: &[u32], i: usize) -> &'a [u32] {
+    let start = if i == 0 { 0 } else { ends[i - 1] };
+    &flat[start as usize..ends[i] as usize]
+}
+
 /// The `N` bytes of a saved fact matrix at `off`, or `None` past its end.
 fn le_at<const N: usize>(bin: &[u8], off: usize) -> Option<[u8; N]> {
     bin.get(off..off.checked_add(N)?)?.try_into().ok()
@@ -1078,19 +1164,20 @@ fn le_at<const N: usize>(bin: &[u8], off: usize) -> Option<[u8; N]> {
 
 /// Finds a `<`-cycle confined to the staged members, returning the
 /// staged index of one member on it.
-fn staged_cycle(staged: &[StagedMember], n_old: u32) -> Option<usize> {
+fn staged_cycle(staged: &DimDelta<'_>, n_old: u32) -> Option<usize> {
     const WHITE: u8 = 0;
     const GRAY: u8 = 1;
     const BLACK: u8 = 2;
     let mut color = vec![WHITE; staged.len()];
+    let mut stack: Vec<(usize, usize)> = Vec::new();
     for start in 0..staged.len() {
         if color[start] != WHITE {
             continue;
         }
-        let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
+        stack.push((start, 0));
         color[start] = GRAY;
         while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            if let Some(&p) = staged[node].parents.get(*next) {
+            if let Some(&p) = staged.parents(node).get(*next) {
                 *next += 1;
                 if p < n_old {
                     continue; // committed members never link back in
@@ -1116,6 +1203,7 @@ fn staged_cycle(staged: &[StagedMember], n_old: u32) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odc_core::instance::text::quote;
     use odc_core::olap::{cuboid, RollupPlan};
     use odc_core::prelude::RollupTable;
 
@@ -1321,11 +1409,23 @@ constraints:
         let mut s = store();
         s.ingest_text(
             "Canada : Country < all\n\"New York\" : City = \"NY # east\" < Canada\n\
-             s1 : Store < \"New York\"\ns1 -> 10\ns1 -> -3\n",
+             Ontario : State < Canada\ns1 : Store < \"New York\", Ontario\n\
+             s1 -> 10\ns1 -> -3\n",
             1,
         )
         .unwrap();
         s.save(&dir).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(dir.join("members.0.odct")).unwrap(),
+            "Canada : Country < all\n\
+             \"New York\" : City = \"NY # east\" < Canada\n\
+             Ontario : State < Canada\n\
+             s1 : Store < \"New York\", Ontario\n"
+        );
+        assert_eq!(
+            std::fs::read_to_string(dir.join("meta.txt")).unwrap(),
+            "dims 1\nfacts 2\nbatches 1\n"
+        );
         let loaded = FactStore::load(&dir).unwrap();
         assert_eq!(loaded.num_members(0), s.num_members(0));
         assert_eq!(loaded.num_facts(), s.num_facts());
@@ -1337,7 +1437,47 @@ constraints:
         let d = loaded.instance(0);
         let ny = d.member_by_key("New York").unwrap();
         assert_eq!(d.name(ny), "NY # east");
+        assert!(loaded.revalidate().is_empty());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn quoted_separators_survive_ingest_save_and_load() {
+        let dir = std::env::temp_dir().join(format!("odc-store-quoted-{}", std::process::id()));
+        let mut s = store();
+        let mut src = String::new();
+        let tokens = ['#', ':', '<', ',', '=', ' ', '\t'];
+        for ch in tokens {
+            let (country, city, shop) = (format!("co{ch}1"), format!("ci{ch}2"), format!("s{ch}3"));
+            src.push_str(&format!("{} : Country < all\n", quote(&country)));
+            src.push_str(&format!(
+                "{} : City = \"n{ch}c\" < {}\n",
+                quote(&city),
+                quote(&country)
+            ));
+            src.push_str(&format!("{} : Store < {}\n", quote(&shop), quote(&city)));
+            src.push_str(&format!("{} -> 5\n", quote(&shop)));
+        }
+        s.ingest_text(&src, 1).unwrap();
+        assert_eq!(s.num_facts(), tokens.len());
+        s.save(&dir).unwrap();
+        let loaded = FactStore::load(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let (d, d2) = (s.instance(0), loaded.instance(0));
+        assert_eq!(d.num_members(), d2.num_members());
+        for m in d.members() {
+            let m2 = d2.member_by_key(d.key(m)).unwrap();
+            assert_eq!(d.name(m), d2.name(m2));
+            let keys = |d: &DimensionInstance, m| -> Vec<String> {
+                d.parents(m).iter().map(|&p| d.key(p).to_string()).collect()
+            };
+            assert_eq!(keys(&d, m), keys(&d2, m2));
+        }
+        let shop = cat(&s, 0, "Store");
+        assert_eq!(
+            loaded.materialize(&[shop], AggFn::Sum),
+            s.materialize(&[shop], AggFn::Sum)
+        );
     }
 
     #[test]
@@ -1395,6 +1535,33 @@ constraints:
             RollupTable::new(&f.dims()[1]),
         ];
         assert_eq!(cub, cuboid(&f, &rollups, &levels, AggFn::Sum));
+
+        // Keys holding the fact-row separator survive save and load in
+        // both dimensions.
+        s.ingest_text(
+            "\"s,2\" : Store < Toronto\n@1 \"d,2\" : Day < Jan\n\"s,2\", \"d,2\" -> 7\n",
+            8,
+        )
+        .unwrap();
+        let dir = std::env::temp_dir().join(format!("odc-store-2d-{}", std::process::id()));
+        s.save(&dir).unwrap();
+        let loaded = FactStore::load(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(loaded.num_facts(), 3);
+        for dim in 0..2 {
+            assert_eq!(loaded.num_members(dim), s.num_members(dim));
+        }
+        for levels in [
+            [cat(&s, 0, "Store"), cat(&s, 1, "Day")],
+            [cat(&s, 0, "City"), cat(&s, 1, "Month")],
+            levels,
+        ] {
+            assert_eq!(
+                loaded.materialize(&levels, AggFn::Sum),
+                s.materialize(&levels, AggFn::Sum)
+            );
+        }
+        assert!(loaded.revalidate().is_empty());
     }
 
 }

@@ -1,8 +1,10 @@
-//! Property test (ISSUE-10 satellite): for seeded batch streams from
-//! `crates/workload`, incremental delta validation accepts/rejects
-//! exactly when the full-revalidation oracle does — including batches
-//! that are invalid only in combination with earlier batches — and the
-//! two paths leave byte-identical stores behind.
+//! Property test: for seeded batch streams from `crates/workload`,
+//! incremental delta validation accepts/rejects exactly when the
+//! full-revalidation oracle does — including batches that are invalid
+//! only in combination with earlier batches — and the two paths leave
+//! byte-identical stores behind. `check_batch` is checked to be pure on
+//! every batch: repeating it gives the same errors, and a store it ran
+//! on ingests exactly like one it never touched.
 
 use odc_core::hierarchy::Category;
 use odc_core::instance::text::quote;
@@ -48,11 +50,14 @@ fn member_lines(d: &DimensionInstance) -> Vec<String> {
         .collect()
 }
 
-/// Drives one batch through both stores and asserts acceptance parity.
-/// On rejection, the full oracle's condition (when it names one) must be
+/// Drives one batch through three stores and asserts acceptance parity.
+/// `inc` is checked with `check_batch` twice before it ingests, `plain`
+/// never is, and `full` takes the full-revalidation oracle. On
+/// rejection, the full oracle's condition (when it names one) must be
 /// among the conditions the incremental path collects.
 fn step(
     inc: &mut FactStore,
+    plain: &mut FactStore,
     full: &mut FactStore,
     src: &str,
     line: usize,
@@ -60,7 +65,11 @@ fn step(
 ) -> Result<odc_store::BatchStats, IngestError> {
     let batch = parse_batch(src, line).expect(label);
     let all_inc = inc.check_batch(&batch);
+    assert_eq!(inc.check_batch(&batch), all_inc, "{label}: check_batch is not repeatable");
     let i = inc.ingest_batch(&batch);
+    let p = plain.ingest_batch(&batch);
+    assert_eq!(i, p, "{label}: check_batch changed what ingest does");
+    assert_same_store(inc, plain, label);
     let f = full.ingest_batch_full(&batch);
     assert_eq!(
         i.is_ok(),
@@ -81,6 +90,37 @@ fn step(
     i
 }
 
+/// Same members (keys, names, categories, parents in plane order), same
+/// facts, and the same cuboid at every single-category level.
+fn assert_same_store(a: &FactStore, b: &FactStore, label: &str) {
+    assert_eq!(a.num_dims(), b.num_dims());
+    assert_eq!(a.num_facts(), b.num_facts(), "{label}: fact counts differ");
+    assert_eq!(a.batches(), b.batches(), "{label}: batch counts differ");
+    for dim in 0..a.num_dims() {
+        let (da, db) = (a.instance(dim), b.instance(dim));
+        assert_eq!(da.num_members(), db.num_members(), "{label}: member counts differ");
+        for m in da.members() {
+            assert_eq!(da.key(m), db.key(m), "{label}: keys differ");
+            assert_eq!(da.name(m), db.name(m), "{label}: names differ");
+            assert_eq!(da.category_of(m), db.category_of(m), "{label}: categories differ");
+            assert_eq!(da.parents(m), db.parents(m), "{label}: parents differ");
+        }
+    }
+    let g = a.schema(0).hierarchy();
+    for c in g.categories() {
+        let mut levels: Vec<Category> = vec![c];
+        for dim in 1..a.num_dims() {
+            levels.push(a.schema(dim).hierarchy().bottom_categories()[0]);
+        }
+        assert_eq!(
+            a.materialize(&levels, AggFn::Sum),
+            b.materialize(&levels, AggFn::Sum),
+            "{label}: cuboid divergence at {}",
+            g.name(c)
+        );
+    }
+}
+
 fn stream_parity(ds: &DimensionSchema, bottom: Category, seed: u64, batch_size: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let d = match random_instance(ds, bottom, 60, 0.6, &mut rng) {
@@ -93,11 +133,12 @@ fn stream_parity(ds: &DimensionSchema, bottom: Category, seed: u64, batch_size: 
     }
 
     let mut inc = FactStore::new(vec![ds.clone()]);
+    let mut plain = FactStore::new(vec![ds.clone()]);
     let mut full = FactStore::new(vec![ds.clone()]);
     let mut line_no = 1;
     for chunk in lines.chunks(batch_size) {
         let src = chunk.join("\n");
-        let r = step(&mut inc, &mut full, &src, line_no, "valid stream");
+        let r = step(&mut inc, &mut plain, &mut full, &src, line_no, "valid stream");
         assert!(r.is_ok(), "valid stream rejected: {r:?}");
         line_no += chunk.len();
     }
@@ -164,7 +205,7 @@ fn stream_parity(ds: &DimensionSchema, bottom: Category, seed: u64, batch_size: 
     let members_before = inc.num_members(0);
     let facts_before = inc.num_facts();
     for (src, label) in adversarial {
-        let r = step(&mut inc, &mut full, &src, line_no, label);
+        let r = step(&mut inc, &mut plain, &mut full, &src, line_no, label);
         assert!(r.is_err(), "{label} accepted:\n{src}");
         assert_eq!(inc.num_members(0), members_before, "{label} leaked members");
         assert_eq!(inc.num_facts(), facts_before, "{label} leaked facts");
@@ -210,4 +251,35 @@ fn batch_size_does_not_change_the_verdict() {
     for batch_size in [1, 5, 64, 1000] {
         stream_parity(ds, bottom, 99, batch_size);
     }
+}
+
+#[test]
+fn rejected_batch_then_its_correction() {
+    // Every batch declares members before their parents (forward
+    // references). The first also declares `s1` twice; the second keys a
+    // fact to `s2`, which it never declares. The corrected batch declares
+    // `s2` and must commit the same store on every path.
+    let ds = odc_workload::location_sch();
+    let mut inc = FactStore::new(vec![ds.clone()]);
+    let mut plain = FactStore::new(vec![ds.clone()]);
+    let mut full = FactStore::new(vec![ds]);
+    let rejected = "s1 : Store < Toronto\nToronto : City < Canada\ns1 : Store < Toronto\n\
+                    Canada : Country < all\ns1 -> 4\n";
+    let err = step(&mut inc, &mut plain, &mut full, rejected, 1, "duplicate in batch")
+        .expect_err("a duplicate inside the batch is rejected");
+    assert!(matches!(err, IngestError::DuplicateMember { row: 3, dim: 0, .. }), "{err}");
+    assert_eq!(inc.num_members(0), 1, "the rejected batch leaked members");
+    let dangling = "s2 -> 1\ns1 : Store < Toronto\nToronto : City < Canada\n\
+                    Canada : Country < all\n";
+    let err = step(&mut inc, &mut plain, &mut full, dangling, 6, "unknown fact member")
+        .expect_err("a fact keying an undeclared member is rejected");
+    assert!(matches!(err, IngestError::UnknownFactMember { row: 6, .. }), "{err}");
+    let corrected = "s1 : Store < Toronto\nToronto : City < Canada\ns2 : Store < Toronto\n\
+                     Canada : Country < all\ns1 -> 4\ns2 -> 1\n";
+    let stats = step(&mut inc, &mut plain, &mut full, corrected, 10, "corrected")
+        .expect("the corrected batch commits");
+    assert_eq!(stats.members, 4);
+    assert_eq!(stats.facts, 2);
+    assert_same_store(&inc, &full, "corrected vs full oracle");
+    assert!(inc.revalidate().is_empty());
 }

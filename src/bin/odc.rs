@@ -732,7 +732,8 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
             let t0 = std::time::Instant::now();
             let (mut batch_no, mut members, mut facts, mut rows) = (0u64, 0u64, 0u64, 0u64);
             for (i, chunk) in lines.chunks(batch_rows).enumerate() {
-                let batch = odc_store::parse_batch(&chunk.join("\n"), i * batch_rows + 1)
+                let text = chunk.join("\n");
+                let batch = odc_store::parse_batch(&text, i * batch_rows + 1)
                     .map_err(|e| format!("ingest: {e}"))?;
                 if batch.is_empty() {
                     continue;
