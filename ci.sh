@@ -638,11 +638,16 @@ diff "$STOREDIR/cells-inc.txt" "$STOREDIR/cells-full.txt" \
 head -n 25008 "$STOREDIR/facts.txt" > "$STOREDIR/facts-1.txt"
 tail -n +25009 "$STOREDIR/facts.txt" > "$STOREDIR/facts-2.txt"
 "$ODCBIN" ingest "$STOREDIR/app" examples/location.odcs \
-  --facts "$STOREDIR/facts-1.txt" --batch-rows 4096 > /dev/null
+  --facts "$STOREDIR/facts-1.txt" --batch-rows 4096 > "$STOREDIR/append-1.txt"
 "$ODCBIN" ingest "$STOREDIR/app" --facts "$STOREDIR/facts-2.txt" --batch-rows 4096 \
   > "$STOREDIR/append.txt"
 grep -q "50000 fact(s) total" "$STOREDIR/append.txt" \
   || { echo "append lost facts:"; cat "$STOREDIR/append.txt"; exit 1; }
+# The reopened store keeps counting batches: meta.txt holds both calls'.
+batches=$(( $(sed -n 's/^ingested \([0-9]*\) batch.*/\1/p' "$STOREDIR/append-1.txt") \
+  + $(sed -n 's/^ingested \([0-9]*\) batch.*/\1/p' "$STOREDIR/append.txt") ))
+grep -qx "batches $batches" "$STOREDIR/app/meta.txt" \
+  || { echo "meta.txt lost batches (want $batches):"; cat "$STOREDIR/app/meta.txt"; exit 1; }
 for level in Store Country; do
   "$ODCBIN" cube "$STOREDIR/inc" "$level" --limit 100 > "$STOREDIR/one-$level.txt"
   "$ODCBIN" cube "$STOREDIR/app" "$level" --limit 100 > "$STOREDIR/app-$level.txt"

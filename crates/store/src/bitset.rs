@@ -25,6 +25,15 @@ impl BitSet {
         fresh
     }
 
+    /// Makes room for every index below `n`, so inserting them grows
+    /// nothing.
+    pub fn reserve(&mut self, n: usize) {
+        let words = n.div_ceil(64);
+        if words > self.words.len() {
+            self.words.resize(words, 0);
+        }
+    }
+
     /// Removes `i`; returns whether it was present.
     pub fn remove(&mut self, i: u32) -> bool {
         let (w, b) = (i as usize / 64, i as usize % 64);

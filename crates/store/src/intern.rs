@@ -5,12 +5,31 @@
 //!
 //! Every interned text lives in one buffer; the lookup table is an
 //! open-addressing array of symbols probed by a keyed hash, so interning
-//! allocates nothing per string beyond amortized growth.
+//! allocates nothing per string beyond amortized growth. Callers that
+//! probe other tables with the same key hash it once ([`Interner::hash`])
+//! and pass the hash along ([`Interner::get_hashed`],
+//! [`Interner::intern_hashed`]); a batch reserves its room once
+//! ([`Interner::reserve`]).
 
 use std::hash::{BuildHasher, RandomState};
 
-/// Empty slot in the lookup table.
-const EMPTY: u32 = u32::MAX;
+/// Empty slot in an open-addressing table of `u32` entries.
+pub(crate) const EMPTY: u32 = u32::MAX;
+
+/// Where a linear probe for `hash` stops in `slots` (a power of two
+/// long, never full): the first slot whose entry `is` accepts, or the
+/// first free one.
+pub(crate) fn probe(slots: &[u32], hash: u64, is: impl Fn(u32) -> bool) -> usize {
+    let mask = slots.len() - 1;
+    let mut i = hash as usize & mask;
+    loop {
+        let entry = slots[i];
+        if entry == EMPTY || is(entry) {
+            return i;
+        }
+        i = (i + 1) & mask;
+    }
+}
 
 /// Interns strings to dense `u32` symbols. Symbols are stable for the
 /// lifetime of the interner and resolve back in O(1).
@@ -47,22 +66,26 @@ impl Interner {
         Interner::default()
     }
 
+    /// The keyed hash this interner files `s` under.
+    pub fn hash(&self, s: &str) -> u64 {
+        self.hasher.hash_one(s)
+    }
+
     /// The table slot holding `s`, or the free slot where it belongs.
     fn slot(&self, s: &str, hash: u64) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut i = hash as usize & mask;
-        loop {
-            let sym = self.slots[i];
-            if sym == EMPTY || (self.hashes[sym as usize] == hash && self.resolve(sym) == s) {
-                return i;
-            }
-            i = (i + 1) & mask;
-        }
+        probe(&self.slots, hash, |sym| {
+            self.hashes[sym as usize] == hash && self.resolve(sym) == s
+        })
     }
 
     /// Interns `s`, returning its symbol (existing or fresh).
     pub fn intern(&mut self, s: &str) -> u32 {
-        let hash = self.hasher.hash_one(s);
+        self.intern_hashed(s, self.hash(s))
+    }
+
+    /// Interns `s` under `hash`, which must be [`Interner::hash`]`(s)`.
+    pub fn intern_hashed(&mut self, s: &str, hash: u64) -> u32 {
+        debug_assert_eq!(hash, self.hash(s), "hash from another hasher");
         let i = self.slot(s, hash);
         if self.slots[i] != EMPTY {
             return self.slots[i];
@@ -73,20 +96,29 @@ impl Interner {
         self.hashes.push(hash);
         self.slots[i] = sym;
         if 2 * self.hashes.len() > self.slots.len() {
-            self.grow();
+            self.rehash(2 * self.slots.len());
         }
         sym
     }
 
-    /// Doubles the lookup table and reinserts every symbol.
-    fn grow(&mut self) {
-        let mut slots = vec![EMPTY; 2 * self.slots.len()];
-        let mask = slots.len() - 1;
+    /// Makes room for `strings` more symbols holding `bytes` bytes of
+    /// text in all, so interning them grows nothing.
+    pub fn reserve(&mut self, strings: usize, bytes: usize) {
+        self.text.reserve(bytes);
+        self.bounds.reserve(strings);
+        self.hashes.reserve(strings);
+        let slots = (2 * (self.hashes.len() + strings)).next_power_of_two();
+        if slots > self.slots.len() {
+            self.rehash(slots);
+        }
+    }
+
+    /// Rebuilds the lookup table at `len` slots (a power of two, more
+    /// than twice the symbol count), reinserting every symbol.
+    fn rehash(&mut self, len: usize) {
+        let mut slots = vec![EMPTY; len];
         for (sym, &hash) in self.hashes.iter().enumerate() {
-            let mut i = hash as usize & mask;
-            while slots[i] != EMPTY {
-                i = (i + 1) & mask;
-            }
+            let i = probe(&slots, hash, |_| false);
             slots[i] = sym as u32;
         }
         self.slots = slots;
@@ -94,7 +126,12 @@ impl Interner {
 
     /// Looks a string up without interning it.
     pub fn get(&self, s: &str) -> Option<u32> {
-        let sym = self.slots[self.slot(s, self.hasher.hash_one(s))];
+        self.get_hashed(s, self.hash(s))
+    }
+
+    /// Looks `s` up under `hash`, which must be [`Interner::hash`]`(s)`.
+    pub fn get_hashed(&self, s: &str, hash: u64) -> Option<u32> {
+        let sym = self.slots[self.slot(s, hash)];
         (sym != EMPTY).then_some(sym)
     }
 
@@ -134,6 +171,23 @@ mod tests {
         assert_eq!(i.len(), 2);
         assert_eq!(i.get("Canada"), Some(b));
         assert_eq!(i.get("Mexico"), None);
+    }
+
+    #[test]
+    fn reserved_room_interns_without_regrowing() {
+        let mut i = Interner::new();
+        i.intern("all");
+        i.reserve(1000, 4000);
+        let slots = i.slots.len();
+        let keys: Vec<String> = (0..1000).map(|k| format!("m{k}")).collect();
+        for k in &keys {
+            let h = i.hash(k);
+            assert_eq!(i.get_hashed(k, h), None);
+            let sym = i.intern_hashed(k, h);
+            assert_eq!(i.get_hashed(k, h), Some(sym));
+        }
+        assert_eq!(i.slots.len(), slots, "reserve sized the table once");
+        assert_eq!(i.len(), 1001);
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //!
 //! A counting global allocator tallies the allocations (and
 //! reallocations) the calling thread makes, so parallel tests do not
-//! disturb each other. Parse + ingest of a fact-only batch and `save`
-//! must allocate a fixed number of times however many rows or members
-//! they handle; `load` must stay far below one allocation per member
-//! line.
+//! disturb each other. Parse + ingest of a fact-only or a member-only
+//! batch, `save` and `load` must each allocate a fixed number of times
+//! however many rows or members they handle.
 
 use odc_core::hierarchy::Category;
 use odc_core::instance::text::quote;
@@ -59,11 +58,9 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCS.with(Cell::get) - before)
 }
 
-/// The per-member-line load path this budget replaced made 1,262,447
-/// allocations to load a 90,762-member store; `load` must stay under a
-/// quarter of that ratio.
-const OLD_LOAD_ALLOCS: u64 = 1_262_447;
-const OLD_LOAD_MEMBERS: u64 = 90_762;
+/// `load`'s allocation budget per file it reads, whatever the files
+/// hold (parsing a schema file takes most of it).
+const LOAD_ALLOCS_PER_FILE: u64 = 96;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("odc-store-allocs-{tag}-{}", std::process::id()))
@@ -135,6 +132,41 @@ fn fact_batch_ingest_allocates_per_batch_not_per_row() {
     assert!(large <= 32, "{large} allocations for one fact batch");
 }
 
+/// Allocations to parse and ingest the member lines of a seeded
+/// instance with `n_base` base members into a fresh store, and how
+/// many members that committed.
+fn member_batch_allocs(n_base: usize) -> (usize, u64) {
+    let ds = odc_workload::location_sch();
+    let bottom = ds.hierarchy().category_by_name("Store").unwrap();
+    let mut rng = StdRng::seed_from_u64(7);
+    let d = odc_workload::random_instance(&ds, bottom, n_base, 0.6, &mut rng).unwrap();
+    let text = member_lines(&d).join("\n");
+    let mut s = FactStore::new(vec![ds]);
+    let (stats, n) = counted(|| {
+        let batch = parse_batch(&text, 1).unwrap();
+        s.ingest_batch(&batch).unwrap()
+    });
+    assert_eq!(stats.members + 1, d.num_members());
+    (stats.members, n)
+}
+
+#[test]
+fn member_batch_ingest_allocates_per_batch_not_per_member() {
+    member_batch_allocs(20); // warm this thread's lazily built state
+    let small = member_batch_allocs(500);
+    let large = member_batch_allocs(20_000);
+    assert!(large.0 > 20 * small.0, "{small:?} vs {large:?}");
+    assert_eq!(
+        small.1, large.1,
+        "(members, allocations): {small:?} vs {large:?}"
+    );
+    assert!(
+        large.1 <= 64,
+        "{} allocations for one member batch",
+        large.1
+    );
+}
+
 #[test]
 fn save_allocates_per_file_not_per_member() {
     let mut counts = Vec::new();
@@ -153,24 +185,37 @@ fn save_allocates_per_file_not_per_member() {
 }
 
 #[test]
-fn load_allocates_far_less_than_once_per_member() {
-    let (s, _) = seeded_store(2_000, 10_000);
-    let dir = scratch_dir("load");
-    s.save(&dir).unwrap();
-    let (loaded, n) = counted(|| FactStore::load(&dir));
-    std::fs::remove_dir_all(&dir).ok();
-    let loaded = loaded.unwrap();
-    let members = loaded.num_members(0) as u64;
-    assert_eq!(members, s.num_members(0) as u64);
-    assert!(
-        4 * n * OLD_LOAD_MEMBERS <= OLD_LOAD_ALLOCS * members,
-        "{n} allocations to load {members} members"
+fn load_allocates_per_file_not_per_member() {
+    let mut counts = Vec::new();
+    for (n_base, n_facts) in [(200, 1_000), (4_000, 64_000)] {
+        let (s, _) = seeded_store(n_base, n_facts);
+        let dir = scratch_dir(&format!("load-{n_base}"));
+        s.save(&dir).unwrap();
+        let (loaded, n) = counted(|| FactStore::load(&dir));
+        std::fs::remove_dir_all(&dir).ok();
+        let loaded = loaded.unwrap();
+        assert_eq!(loaded.num_members(0), s.num_members(0));
+        assert_eq!(loaded.num_facts(), s.num_facts());
+        let store = loaded
+            .schema(0)
+            .hierarchy()
+            .category_by_name("Store")
+            .unwrap();
+        assert_ne!(store, Category::ALL);
+        assert_eq!(loaded.cardinality(0, store), s.cardinality(0, store));
+        counts.push((s.num_members(0), n));
+    }
+    assert_eq!(
+        counts[0].1, counts[1].1,
+        "(members, allocations): {counts:?}"
     );
-    let store = loaded
-        .schema(0)
-        .hierarchy()
-        .category_by_name("Store")
-        .unwrap();
-    assert_ne!(store, Category::ALL);
-    assert_eq!(loaded.cardinality(0, store), s.cardinality(0, store));
+    // meta.txt, then per dimension its schema and member files, then
+    // facts.bin.
+    let dims = 1;
+    let files = 2 + 2 * dims;
+    assert!(
+        counts[1].1 <= LOAD_ALLOCS_PER_FILE * files,
+        "{} allocations to load {files} files",
+        counts[1].1
+    );
 }
