@@ -197,6 +197,19 @@ for dir in corpus/v1/*/; do
 done
 echo "battery parity OK: $(ls corpus/v1/*/schema.txt | wc -l) schemas x 4 runs, clean, retried and through a repository"
 
+echo "== retired checkpoint envelopes are refused =="
+# An audit envelope from before item-cache checkpoints: --resume exits 1
+# and names the format.
+printf 'odc-checkpoint v1\nkind advisor-audit\nfingerprint 1\nstage sweep\nnext 0\nend\n' \
+  > "$WORK/retired.ckpt"
+rc=0
+$ODC check examples/location.odcs --resume "$WORK/retired.ckpt" > /dev/null 2> "$WORK/retired.err" \
+  || rc=$?
+[ "$rc" -eq 1 ] || { echo "retired envelope: expected exit 1, got $rc"; exit 1; }
+grep -q "odc-checkpoint v1" "$WORK/retired.err" \
+  || { echo "retired envelope refusal does not name the format"; cat "$WORK/retired.err"; exit 1; }
+echo "retired envelope refused"
+
 echo "== crash-recovery smoke (verdict repository) =="
 REPODIR="$(mktemp -d /tmp/odc-ci-repo.XXXXXX)"
 trap 'rm -f "$STATS_JSON"; rm -rf "$WORK" "$REPODIR"' EXIT

@@ -137,7 +137,6 @@ fn main() {
         let mut gov = Governor::unlimited();
         let run = Run::new(&mut gov).jobs(jobs);
         is_summarizable_in_schema_run(&ds, target, &[source], DimsatOptions::default(), run)
-            .expect("nothing to resume")
     };
     let serial = timed(|| battery(1));
     let parallel = timed(|| battery(jobs));
@@ -557,5 +556,5 @@ fn planned_audit(
         .planned(true)
         .session(cache.begin_session())
         .facts(facts);
-    advisor::audit_run(ds, run).expect("nothing to resume")
+    advisor::audit_run(ds, run)
 }

@@ -295,11 +295,8 @@ pub fn check_summarizable_budgeted(
     let s = s?;
     let mut gov = Governor::from_budget(budget);
     let opts = odc_dimsat::DimsatOptions::default();
-    // A run with nothing to resume has nothing to refuse.
     let run = odc_dimsat::Run::new(&mut gov);
-    odc_summarizability::is_summarizable_in_schema_run(ds, c, &s, opts, run)
-        .ok()
-        .map(|out| out.verdict)
+    Some(odc_summarizability::is_summarizable_in_schema_run(ds, c, &s, opts, run).verdict)
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Serializable cursors for interrupted DIMSAT runs.
+//! Serializable cursors for interrupted DIMSAT solves.
 //!
 //! When a governed solve is interrupted, the search serializes its
 //! enumeration cursor — the per-level subset-mask decision stack of
@@ -10,40 +10,32 @@
 //! attempt and the resumed attempt is byte-identical (verdict,
 //! enumeration order, merged [`SearchStats`]) to an uninterrupted run.
 //!
-//! A [`SweepCheckpoint`] does the same for an interrupted
-//! unsatisfiable-category sweep: decided verdicts, fan-out-aborted
-//! categories, accumulated stats, and (when available) the inner
-//! [`SolveCheckpoint`] of the category that was mid-solve.
-//!
-//! Both ride inside the versioned, schema-fingerprinted
+//! A cursor rides inside the versioned, schema-fingerprinted
 //! [`CheckpointEnvelope`] of `odc-govern`; a fingerprint or options
 //! mismatch refuses the resume instead of walking a meaningless cursor.
+//! It is `odc frozen`'s `--checkpoint` file, and the pending record an
+//! interrupted `Sat` or `Census` item leaves in an item cache (see
+//! [`crate::ItemCache`]).
 //!
-//! ## Resume granularity
-//!
-//! * single solve — exact: the deepest interrupted frame re-executes
-//!   from its first mask (it had processed none when it was interrupted),
-//!   every shallower frame restarts at its recorded mask;
-//! * category sweep — exact for the mid-solve category (inner cursor),
-//!   verdict-level for the already-decided ones;
-//! * [`InterruptReason::FanoutOverflow`] never yields a checkpoint: the
-//!   node is structurally unexplorable and retrying cannot help.
+//! Resume is exact: the deepest interrupted frame re-executes from its
+//! first mask (it had processed none when it was interrupted), every
+//! shallower frame restarts at its recorded mask.
+//! [`InterruptReason::FanoutOverflow`] never yields a checkpoint: the
+//! node is structurally unexplorable and retrying cannot help.
 //!
 //! [`Dimsat::resume`]: crate::Dimsat::resume
+//! [`InterruptReason::FanoutOverflow`]: odc_govern::InterruptReason::FanoutOverflow
 //! [`SearchStats`]: crate::SearchStats
 
 use crate::options::{DimsatOptions, TopOrder};
 use crate::stats::SearchStats;
 use odc_frozen::{CAssignment, FrozenDimension, Slot};
-use odc_govern::{CheckpointEnvelope, CheckpointError, InterruptReason};
+use odc_govern::{CheckpointEnvelope, CheckpointError};
 use odc_hierarchy::{Category, Subhierarchy};
 use std::time::Duration;
 
 /// Envelope kind of a single-solve cursor.
 pub const SOLVE_KIND: &str = "dimsat-solve";
-
-/// Envelope kind of an unsatisfiable-category-sweep cursor.
-pub const SWEEP_KIND: &str = "category-sweep";
 
 /// Canonical encoding of the [`DimsatOptions`] that shape the search
 /// path. A checkpoint only resumes under the options it was taken with —
@@ -63,40 +55,8 @@ pub fn options_key(opts: &DimsatOptions) -> String {
     )
 }
 
-/// Stable payload token for an [`InterruptReason`] (used by the sweep's
-/// aborted-category records).
-pub fn reason_token(r: InterruptReason) -> &'static str {
-    match r {
-        InterruptReason::Deadline => "deadline",
-        InterruptReason::NodeLimit => "node-limit",
-        InterruptReason::CheckLimit => "check-limit",
-        InterruptReason::DepthLimit => "depth-limit",
-        InterruptReason::Cancelled => "cancelled",
-        InterruptReason::FanoutOverflow => "fanout-overflow",
-        InterruptReason::FaultInjected => "fault-injected",
-    }
-}
-
-/// Inverse of [`reason_token`].
-pub fn parse_reason(tok: &str) -> Result<InterruptReason, CheckpointError> {
-    Ok(match tok {
-        "deadline" => InterruptReason::Deadline,
-        "node-limit" => InterruptReason::NodeLimit,
-        "check-limit" => InterruptReason::CheckLimit,
-        "depth-limit" => InterruptReason::DepthLimit,
-        "cancelled" => InterruptReason::Cancelled,
-        "fanout-overflow" => InterruptReason::FanoutOverflow,
-        "fault-injected" => InterruptReason::FaultInjected,
-        other => {
-            return Err(CheckpointError::malformed(format!(
-                "unknown interrupt reason {other:?}"
-            )))
-        }
-    })
-}
-
 /// Encodes a [`SearchStats`] as one `stats …` payload record.
-pub fn encode_stats(s: &SearchStats) -> String {
+fn encode_stats(s: &SearchStats) -> String {
     format!(
         "stats {} {} {} {} {} {} {} {} {} {} {}",
         s.expand_calls,
@@ -114,7 +74,7 @@ pub fn encode_stats(s: &SearchStats) -> String {
 }
 
 /// Inverse of [`encode_stats`] (the `stats ` prefix already stripped).
-pub fn decode_stats(rest: &str) -> Result<SearchStats, CheckpointError> {
+fn decode_stats(rest: &str) -> Result<SearchStats, CheckpointError> {
     let nums: Vec<u64> = rest
         .split_whitespace()
         .map(|t| {
@@ -145,16 +105,15 @@ pub fn decode_stats(rest: &str) -> Result<SearchStats, CheckpointError> {
     })
 }
 
-/// Parses one unsigned payload token (shared by the higher-level
-/// checkpoint formats in `odc-summarizability`).
-pub fn parse_u64(tok: &str) -> Result<u64, CheckpointError> {
+/// Parses one unsigned payload token.
+fn parse_u64(tok: &str) -> Result<u64, CheckpointError> {
     tok.parse::<u64>()
         .map_err(|_| CheckpointError::malformed(format!("bad integer {tok:?}")))
 }
 
 /// Parses a category index token, range-checked against the schema's
 /// category count.
-pub fn parse_category(tok: &str, universe: usize) -> Result<Category, CheckpointError> {
+fn parse_category(tok: &str, universe: usize) -> Result<Category, CheckpointError> {
     let i = parse_u64(tok)? as usize;
     if i >= universe {
         return Err(CheckpointError::malformed(format!(
@@ -165,7 +124,7 @@ pub fn parse_category(tok: &str, universe: usize) -> Result<Category, Checkpoint
 }
 
 /// Splits a payload line into its leading key and the remainder.
-pub fn split_key(line: &str) -> (&str, &str) {
+fn split_key(line: &str) -> (&str, &str) {
     match line.split_once(' ') {
         Some((k, rest)) => (k, rest),
         None => (line, ""),
@@ -362,130 +321,6 @@ impl SolveCheckpoint {
     }
 }
 
-/// The resumable state of an interrupted unsatisfiable-category sweep.
-#[derive(Debug, Clone)]
-pub struct SweepCheckpoint {
-    /// Fingerprint of the schema the sweep ran against.
-    pub fingerprint: u64,
-    /// [`options_key`] of the solver options.
-    pub options_key: String,
-    /// Categories already proved satisfiable.
-    pub sat: Vec<Category>,
-    /// Categories already proved unsatisfiable.
-    pub unsat: Vec<Category>,
-    /// Categories whose solve aborted on a structural limit (fan-out
-    /// overflow). They are *not* resume candidates — retrying cannot
-    /// enumerate an unenumerable node — and are copied forward verbatim.
-    pub aborted: Vec<(Category, InterruptReason)>,
-    /// Stats accumulated over the decided and aborted categories. The
-    /// mid-solve category's partial counters live in `inner`, not here.
-    pub stats: SearchStats,
-    /// Cursor of the category that was mid-solve at the interrupt, when
-    /// one was recorded.
-    pub inner: Option<SolveCheckpoint>,
-}
-
-impl SweepCheckpoint {
-    /// Serializes into a [`SWEEP_KIND`] envelope. The inner solve cursor
-    /// (if any) is embedded as `inner `-prefixed payload lines.
-    pub fn to_envelope(&self) -> CheckpointEnvelope {
-        let mut env = CheckpointEnvelope::new(SWEEP_KIND, self.fingerprint);
-        env.line(format!("options {}", self.options_key));
-        for (name, cats) in [("sat", &self.sat), ("unsat", &self.unsat)] {
-            let mut line = name.to_string();
-            for c in cats {
-                line.push_str(&format!(" {}", c.index()));
-            }
-            env.line(line);
-        }
-        let mut line = String::from("aborted");
-        for (c, r) in &self.aborted {
-            line.push_str(&format!(" {}:{}", c.index(), reason_token(*r)));
-        }
-        env.line(line);
-        env.line(encode_stats(&self.stats));
-        if let Some(inner) = &self.inner {
-            for l in inner.payload_lines() {
-                env.line(format!("inner {l}"));
-            }
-        }
-        env
-    }
-
-    /// The checkpoint's text form.
-    pub fn to_text(&self) -> String {
-        self.to_envelope().to_text()
-    }
-
-    /// Parses a sweep checkpoint from envelope payload lines.
-    pub fn decode(
-        payload: &[String],
-        fingerprint: u64,
-        universe: usize,
-    ) -> Result<Self, CheckpointError> {
-        let mut options_key = None;
-        let mut sat = None;
-        let mut unsat = None;
-        let mut aborted = None;
-        let mut stats = None;
-        let mut inner_lines: Vec<String> = Vec::new();
-        for line in payload {
-            let (key, rest) = split_key(line);
-            match key {
-                "options" => options_key = Some(rest.to_string()),
-                "sat" | "unsat" => {
-                    let cats = rest
-                        .split_whitespace()
-                        .map(|t| parse_category(t, universe))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    if key == "sat" {
-                        sat = Some(cats);
-                    } else {
-                        unsat = Some(cats);
-                    }
-                }
-                "aborted" => {
-                    aborted = Some(
-                        rest.split_whitespace()
-                            .map(|t| {
-                                let (c, r) = t.split_once(':').ok_or_else(|| {
-                                    CheckpointError::malformed(format!(
-                                        "bad aborted token {t:?}"
-                                    ))
-                                })?;
-                                Ok((parse_category(c, universe)?, parse_reason(r)?))
-                            })
-                            .collect::<Result<Vec<_>, CheckpointError>>()?,
-                    )
-                }
-                "stats" => stats = Some(decode_stats(rest)?),
-                "inner" => inner_lines.push(rest.to_string()),
-                other => {
-                    return Err(CheckpointError::malformed(format!(
-                        "unknown sweep-checkpoint field {other:?}"
-                    )))
-                }
-            }
-        }
-        let inner = if inner_lines.is_empty() {
-            None
-        } else {
-            Some(SolveCheckpoint::decode(&inner_lines, fingerprint, universe)?)
-        };
-        Ok(SweepCheckpoint {
-            fingerprint,
-            options_key: options_key
-                .ok_or_else(|| CheckpointError::malformed("missing options record"))?,
-            sat: sat.ok_or_else(|| CheckpointError::malformed("missing sat record"))?,
-            unsat: unsat.ok_or_else(|| CheckpointError::malformed("missing unsat record"))?,
-            aborted: aborted
-                .ok_or_else(|| CheckpointError::malformed("missing aborted record"))?,
-            stats: stats.ok_or_else(|| CheckpointError::malformed("missing stats record"))?,
-            inner,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,22 +355,6 @@ mod tests {
         assert_eq!(back.expand_calls, 7);
         assert_eq!(back.assignments_tested, 19);
         assert_eq!(back.elapsed, Duration::from_micros(12345));
-    }
-
-    #[test]
-    fn reason_tokens_roundtrip() {
-        for r in [
-            InterruptReason::Deadline,
-            InterruptReason::NodeLimit,
-            InterruptReason::CheckLimit,
-            InterruptReason::DepthLimit,
-            InterruptReason::Cancelled,
-            InterruptReason::FanoutOverflow,
-            InterruptReason::FaultInjected,
-        ] {
-            assert_eq!(parse_reason(reason_token(r)).unwrap(), r);
-        }
-        assert!(parse_reason("cosmic-ray").is_err());
     }
 
     #[test]
@@ -575,44 +394,6 @@ mod tests {
         assert_eq!(w.assignment().get(Category::from_index(2)), Slot::Str(3));
         assert_eq!(w.assignment().get(Category::from_index(1)), Slot::Num(-7));
         assert_eq!(w.assignment().get(Category::from_index(3)), Slot::Nk);
-    }
-
-    #[test]
-    fn sweep_checkpoint_roundtrips_with_inner_cursor() {
-        let universe = 5;
-        let inner = SolveCheckpoint {
-            fingerprint: 7,
-            root: Category::from_index(3),
-            stop_at_first: true,
-            options_key: options_key(&DimsatOptions::default()),
-            cursor: vec![2],
-            found: Vec::new(),
-            stats: SearchStats::default(),
-        };
-        let cp = SweepCheckpoint {
-            fingerprint: 7,
-            options_key: options_key(&DimsatOptions::default()),
-            sat: vec![Category::from_index(1)],
-            unsat: vec![Category::from_index(2)],
-            aborted: vec![(Category::from_index(4), InterruptReason::FanoutOverflow)],
-            stats: SearchStats {
-                check_calls: 4,
-                ..Default::default()
-            },
-            inner: Some(inner),
-        };
-        let text = cp.to_text();
-        let env = CheckpointEnvelope::parse(&text).unwrap();
-        let payload = env.expect(SWEEP_KIND, 7).unwrap();
-        let back = SweepCheckpoint::decode(payload, env.fingerprint, universe).unwrap();
-        assert_eq!(back.sat, cp.sat);
-        assert_eq!(back.unsat, cp.unsat);
-        assert_eq!(back.aborted, cp.aborted);
-        assert_eq!(back.stats.check_calls, 4);
-        let inner = back.inner.expect("inner cursor survives");
-        assert_eq!(inner.root, Category::from_index(3));
-        assert!(inner.stop_at_first);
-        assert_eq!(inner.cursor, vec![2]);
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub mod stats;
 pub mod trace;
 
 pub use anytime::{AnytimeDriver, AnytimeReport};
-pub use checkpoint::{SolveCheckpoint, SweepCheckpoint};
+pub use checkpoint::SolveCheckpoint;
 pub use implication::{
     implies, implies_governed, implies_memo, implies_memo_session, implies_with,
     schema_fingerprint, CacheSession, ImplicationCache, ImplicationOutcome, ImplicationVerdict,

@@ -4,14 +4,16 @@
 //! the Theorem-1 battery and the advisor audit (in
 //! `odc-summarizability`) each have one driver that takes a [`Run`]. It
 //! carries the choices that vary between callers — how many workers,
-//! whether the battery is planned, caller-owned warm state, and a
-//! checkpoint to resume from — next to the governor that meters the
-//! whole battery.
+//! whether the battery is planned, and caller-owned warm state — next
+//! to the governor that meters the whole battery.
 //!
 //! One piece of warm state is an [`ItemCache`]: a per-item verdict
-//! store (the on-disk verdict repository, or an in-memory fake in
-//! tests) that the sweep and the audit ask before solving an item and
-//! tell what they decide.
+//! store (the on-disk verdict repository, or a run-local cache that a
+//! checkpoint file saves and loads) that every battery asks before
+//! solving an item and tells what it decides. Every decided item is a
+//! deterministic verdict, so a resumed run is a run with the cache of
+//! the interrupted one: decided items answer from it, and an
+//! interrupted item resumes from the pending record it left there.
 
 use crate::implication::CacheSession;
 use odc_constraint::DimensionSchema;
@@ -19,8 +21,9 @@ use odc_govern::{Governor, InterruptReason};
 use odc_hierarchy::Category;
 use odc_plan::{SchemaPlan, SharedFacts};
 
-/// One item of the advisor audit's four stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// One item of a battery: of the advisor audit's four stages, or a
+/// whole Theorem-1 query.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AuditItem {
     /// Whether a category is satisfiable (the sweep).
     Sat(Category),
@@ -30,10 +33,13 @@ pub enum AuditItem {
     Census(Category),
     /// Whether `coarse` is summarizable from `{fine}` (the rewrite matrix).
     Rewrite(Category, Category),
+    /// Whether a target is summarizable from a source set, in the
+    /// caller's source order (a Theorem-1 battery).
+    Query(Category, Vec<Category>),
 }
 
-/// A decided audit item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A decided item.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ItemAnswer {
     /// `Sat`: satisfiable.
     Sat,
@@ -43,40 +49,45 @@ pub enum ItemAnswer {
     Aborted(InterruptReason),
     /// `Census`: the number of frozen dimensions.
     Count(usize),
-    /// `Redundant`: implied by the rest; `Rewrite`: a safe rewrite.
+    /// `Redundant`: implied by the rest; `Rewrite`, `Query`:
+    /// summarizable.
     Holds,
-    /// `Redundant`: not implied; `Rewrite`: not safe, with the failing
-    /// bottom when it is known.
-    Fails(Option<Category>),
+    /// `Redundant`: not implied; `Rewrite`, `Query`: not summarizable,
+    /// with the failing bottom when it is known and (`Query`) the
+    /// countermodel as `FrozenDimension::display` renders it.
+    Fails(Option<Category>, Option<String>),
 }
 
-/// A per-item verdict cache for the audit and the sweep.
+/// A per-item verdict cache for the sweep, the Theorem-1 battery and
+/// the audit.
 ///
 /// The drivers ask [`ItemCache::get`] before building any solver state
 /// for an item and [`ItemCache::put`] every item they decide. An
-/// interrupted census or rewrite item leaves its resume cursor (a
-/// checkpoint's text form) with [`ItemCache::put_pending`]; the next
-/// run at the same item resumes from [`ItemCache::pending`]. An answer
-/// of the wrong shape for its item counts as a miss. Implementations
-/// key items by `ds`; writes may fail silently (a lost write is a miss
-/// next time, never a wrong answer).
+/// interrupted item leaves its resume cursor with
+/// [`ItemCache::put_pending`]: a `Sat` or `Census` item the text form
+/// of its [`crate::SolveCheckpoint`], a `Rewrite` or `Query` item the
+/// bottoms its battery already proved implied. The next run at the same
+/// item resumes from [`ItemCache::pending`]; a cursor it cannot read
+/// counts as a miss. So does an answer of the wrong shape for its item.
+/// Implementations key items by `ds`; writes may fail silently (a lost
+/// write is a miss next time, never a wrong answer).
 pub trait ItemCache: Sync {
     /// The decided answer for `item`, if stored.
-    fn get(&self, ds: &DimensionSchema, item: AuditItem) -> Option<ItemAnswer>;
+    fn get(&self, ds: &DimensionSchema, item: &AuditItem) -> Option<ItemAnswer>;
     /// Stores a decided answer (clearing any pending cursor).
-    fn put(&self, ds: &DimensionSchema, item: AuditItem, answer: ItemAnswer);
+    fn put(&self, ds: &DimensionSchema, item: &AuditItem, answer: ItemAnswer);
     /// The resume cursor an interrupted run left for `item`.
-    fn pending(&self, ds: &DimensionSchema, item: AuditItem) -> Option<String>;
+    fn pending(&self, ds: &DimensionSchema, item: &AuditItem) -> Option<String>;
     /// Stores the resume cursor of an interrupted item.
-    fn put_pending(&self, ds: &DimensionSchema, item: AuditItem, cursor: String);
+    fn put_pending(&self, ds: &DimensionSchema, item: &AuditItem, cursor: String);
 }
 
-/// How one battery runs. `C` is the family's checkpoint type.
+/// How one battery runs.
 ///
 /// [`Run::new`] is the reference run: serial on the caller's governor,
 /// unplanned (schema order, no aliases, no shared facts, no witness
-/// pools), no memo-cache, no item cache, nothing to resume.
-pub struct Run<'a, C> {
+/// pools), no memo-cache, no item cache.
+pub struct Run<'a> {
     /// The budget, cancel token, observer and fault plan of the whole
     /// battery. With `jobs > 1` the workers charge a shared budget
     /// minted from it, and their work is charged back to it.
@@ -97,15 +108,12 @@ pub struct Run<'a, C> {
     /// seeded from a repository); a planned run starts empty ones when
     /// this is `None`. Unplanned runs consult no facts.
     pub facts: Option<&'a SharedFacts>,
-    /// A caller-owned per-item verdict cache, asked before every sweep
-    /// and audit item is solved and told every decided one. Other
-    /// batteries ignore it.
+    /// A caller-owned per-item verdict cache, asked before every item
+    /// is solved and told every decided one.
     pub cache: Option<&'a dyn ItemCache>,
-    /// The checkpoint of an interrupted run of the same battery.
-    pub resume: Option<&'a C>,
 }
 
-impl<'a, C> Run<'a, C> {
+impl<'a> Run<'a> {
     /// The reference run on `gov`: serial, unplanned, cold.
     pub fn new(gov: &'a mut Governor) -> Self {
         Run {
@@ -116,7 +124,6 @@ impl<'a, C> Run<'a, C> {
             schema_plan: None,
             facts: None,
             cache: None,
-            resume: None,
         }
     }
 
@@ -154,12 +161,6 @@ impl<'a, C> Run<'a, C> {
     /// Answers and records items through `cache`.
     pub fn cache(mut self, cache: &'a dyn ItemCache) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Resumes from `cp` when it is `Some`.
-    pub fn resume(mut self, cp: Option<&'a C>) -> Self {
-        self.resume = cp;
         self
     }
 }

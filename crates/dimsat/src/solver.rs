@@ -1,6 +1,6 @@
 //! The DIMSAT search (Figure 6), governed by a resource [`Budget`].
 
-use crate::checkpoint::{options_key, SolveCheckpoint, SweepCheckpoint, SOLVE_KIND, SWEEP_KIND};
+use crate::checkpoint::{options_key, SolveCheckpoint, SOLVE_KIND};
 use crate::options::{DimsatOptions, TopOrder};
 use crate::run::{AuditItem, ItemAnswer, Run};
 use crate::stats::SearchStats;
@@ -142,15 +142,10 @@ pub struct CategorySweep {
     /// The interrupt that cut the sweep short, if any. Structural aborts
     /// do not set this — only budget/cancellation interrupts do.
     pub interrupted: Option<Interrupt>,
-    /// Search counters accumulated over the decided and aborted
-    /// categories (the mid-solve category's partial counters live in
-    /// [`CategorySweep::checkpoint`], so interrupted-plus-resumed totals
-    /// match an uninterrupted sweep's).
+    /// Search counters of this run's decided and aborted categories
+    /// (an item cache's answers cost nothing; an interrupted category's
+    /// partial counters travel in its pending cursor).
     pub stats: SearchStats,
-    /// Cursor of the category that was mid-solve when the sweep was
-    /// interrupted, when one was recorded (a parallel sweep keeps the
-    /// lowest-index interrupted category's).
-    pub checkpoint: Option<SolveCheckpoint>,
 }
 
 impl CategorySweep {
@@ -169,9 +164,8 @@ enum Cell {
     Unsat,
     /// Structural abort (fan-out overflow): final, the sweep went on.
     Aborted(InterruptReason),
-    /// Budget/cancellation interrupt; carries the mid-solve cursor
-    /// (boxed: the cursor dwarfs the other variants).
-    Undecided(Option<Box<SolveCheckpoint>>),
+    /// Budget/cancellation interrupt.
+    Undecided,
 }
 
 impl Cell {
@@ -191,7 +185,7 @@ impl Cell {
             Cell::Sat => Some(ItemAnswer::Sat),
             Cell::Unsat => Some(ItemAnswer::Unsat),
             Cell::Aborted(r) => Some(ItemAnswer::Aborted(*r)),
-            Cell::Undecided(_) => None,
+            Cell::Undecided => None,
         }
     }
 }
@@ -292,14 +286,6 @@ impl<'a> Dimsat<'a> {
         SolveCheckpoint::decode(payload, env.fingerprint, self.ds.hierarchy().num_categories())
     }
 
-    /// Parses a [`SweepCheckpoint`] from its text form, validating the
-    /// envelope against this solver's schema.
-    pub fn load_sweep_checkpoint(&self, text: &str) -> Result<SweepCheckpoint, CheckpointError> {
-        let env = CheckpointEnvelope::parse(text)?;
-        let payload = env.expect(SWEEP_KIND, self.schema_fp())?;
-        SweepCheckpoint::decode(payload, env.fingerprint, self.ds.hierarchy().num_categories())
-    }
-
     /// Continues an interrupted solve from its checkpoint under a fresh
     /// governor minted from this solver's budget. The resumed run replays
     /// the recorded decision stack without re-ticking the governor or
@@ -363,9 +349,7 @@ impl<'a> Dimsat<'a> {
     /// lists the rest as undecided — partial work is never discarded.
     pub fn unsatisfiable_categories(&self) -> CategorySweep {
         let mut gov = self.governor();
-        // With no checkpoint to validate there is no refusal path.
         self.unsatisfiable_categories_run(Run::new(&mut gov))
-            .unwrap_or_default()
     }
 
     /// The sweep's one driver: every category decided under `run`.
@@ -384,46 +368,18 @@ impl<'a> Dimsat<'a> {
     /// order, so every complete sweep reports the same. A fan-out
     /// overflow with the governor still healthy is a *structural* abort:
     /// the category is recorded as undecided-with-reason and the sweep
-    /// goes on. On a budget interrupt the lowest-index interrupted
-    /// category's cursor is kept ([`Self::sweep_checkpoint`] packages
-    /// it).
+    /// goes on.
     ///
     /// `run.cache` answers each category it holds before any solve (a
     /// planned run notes the answer in the shared facts) and is told
-    /// every category the sweep decides.
-    ///
-    /// `run.resume` carries decided and aborted verdicts forward and
-    /// resumes the mid-solve category exactly where it stopped; a
-    /// checkpoint from another schema or other options is refused.
-    pub fn unsatisfiable_categories_run(
-        &self,
-        run: Run<'_, SweepCheckpoint>,
-    ) -> Result<CategorySweep, CheckpointError> {
+    /// every category the sweep decides. A category cut by a budget
+    /// interrupt leaves its [`SolveCheckpoint`] there as a pending
+    /// record, and the next run at that category resumes it exactly
+    /// where it stopped.
+    pub fn unsatisfiable_categories_run(&self, run: Run<'_>) -> CategorySweep {
         let g = self.ds.hierarchy();
         let cats: Vec<Category> = g.categories().filter(|c| !c.is_all()).collect();
-        let mut carried: Vec<Option<Cell>> = (0..cats.len()).map(|_| None).collect();
         let mut sweep = CategorySweep::default();
-        let mut inner = None;
-        if let Some(cp) = run.resume {
-            self.check_cursor(cp.fingerprint, &cp.options_key)?;
-            if let Some(i) = &cp.inner {
-                self.check_cursor(i.fingerprint, &i.options_key)?;
-            }
-            for (cell, c) in carried.iter_mut().zip(&cats) {
-                *cell = if cp.sat.contains(c) {
-                    Some(Cell::Sat)
-                } else if cp.unsat.contains(c) {
-                    Some(Cell::Unsat)
-                } else {
-                    cp.aborted
-                        .iter()
-                        .find(|(a, _)| a == c)
-                        .map(|&(_, r)| Cell::Aborted(r))
-                };
-            }
-            sweep.stats = cp.stats.clone();
-            inner = cp.inner.as_ref();
-        }
         let local_facts;
         let facts = match (run.plan, run.facts) {
             (false, _) => None,
@@ -443,11 +399,10 @@ impl<'a> Dimsat<'a> {
         } else {
             (0..cats.len()).collect()
         };
-        let order = order.into_iter().filter(|&i| carried[i].is_none());
+        let (ds, cache) = (self.ds, run.cache);
         // One category the item cache did not answer: from the shared
-        // facts when planned, else solved (resuming `inner` when it is
-        // this category's cursor).
-        let decide = |c: Category, gov: &mut Governor| {
+        // facts when planned, else solved (resuming its pending cursor).
+        let decide = |c: Category, item: &AuditItem, gov: &mut Governor| {
             if let (Some(f), Some(exposed)) = (facts, &exposed) {
                 let known = if exposed.contains(c) {
                     None
@@ -463,11 +418,14 @@ impl<'a> Dimsat<'a> {
                     return ((cell, SearchStats::default()), Flow::Next);
                 }
             }
-            let out = match inner {
-                Some(cp) if cp.root == c => {
-                    self.execute_inner(c, cp.stop_at_first, gov, Some(cp)).1
-                }
-                _ => self.category_satisfiable_governed(c, gov),
+            let resumed = cache
+                .and_then(|k| k.pending(ds, item))
+                .and_then(|text| self.load_checkpoint(&text).ok())
+                .filter(|cp| cp.root == c && cp.stop_at_first)
+                .and_then(|cp| self.resume_governed(&cp, gov).ok());
+            let out = match resumed {
+                Some((_, out)) => out,
+                None => self.category_satisfiable_governed(c, gov),
             };
             match out.verdict {
                 Verdict::Sat(w) => {
@@ -490,19 +448,19 @@ impl<'a> Dimsat<'a> {
                 }
                 // The partial counters of this category travel in its
                 // cursor, not in the sweep's stats: the resumed run
-                // re-absorbs the category's *complete* stats, keeping
-                // merged totals equal to an uninterrupted sweep's.
-                Verdict::Unknown(intr) => (
-                    (Cell::Undecided(out.checkpoint.map(Box::new)), SearchStats::default()),
-                    Flow::Stop(intr),
-                ),
+                // counts the category's *complete* stats once.
+                Verdict::Unknown(intr) => {
+                    if let (Some(k), Some(cp)) = (cache, &out.checkpoint) {
+                        k.put_pending(ds, item, cp.to_text());
+                    }
+                    ((Cell::Undecided, SearchStats::default()), Flow::Stop(intr))
+                }
             }
         };
-        let (ds, cache) = (self.ds, run.cache);
-        let ran = run_items(run.gov, run.jobs, cats.len(), order, "category_sweep", |i, gov| {
+        let ran = run_items(run.gov, run.jobs, cats.len(), order.into_iter(), "category_sweep", |i, gov| {
             let c = cats[i];
             let item = AuditItem::Sat(c);
-            if let Some(cell) = cache.and_then(|k| k.get(ds, item)).and_then(Cell::cached) {
+            if let Some(cell) = cache.and_then(|k| k.get(ds, &item)).and_then(Cell::cached) {
                 if let Some(f) = facts {
                     match cell {
                         Cell::Sat => f.note_sat(c),
@@ -512,41 +470,28 @@ impl<'a> Dimsat<'a> {
                 }
                 return ((cell, SearchStats::default()), Flow::Next);
             }
-            let (item_out, flow) = decide(c, gov);
+            let (item_out, flow) = decide(c, &item, gov);
             if let (Some(k), Some(answer)) = (cache, item_out.0.answer()) {
-                k.put(ds, item, answer);
+                k.put(ds, &item, answer);
             }
             (item_out, flow)
         });
         sweep.interrupted = ran.interrupt.map(|(_, e)| e);
-        for (i, (&c, fresh)) in cats.iter().zip(ran.items).enumerate() {
-            let cell = match fresh {
-                Some((cell, stats)) => {
-                    sweep.stats.absorb(&stats);
-                    Some(cell)
-                }
-                None => carried[i].take(),
+        for (&c, fresh) in cats.iter().zip(ran.items) {
+            let Some((cell, stats)) = fresh else {
+                sweep.undecided.push(c);
+                continue;
             };
+            sweep.stats.absorb(&stats);
             match cell {
-                Some(Cell::Sat) => {
-                    sweep.sat.push(c);
-                    sweep.decided += 1;
-                }
-                Some(Cell::Unsat) => {
-                    sweep.unsat.push(c);
-                    sweep.decided += 1;
-                }
-                Some(Cell::Aborted(reason)) => sweep.aborted.push((c, reason)),
-                Some(Cell::Undecided(cp)) => {
-                    if ran.interrupt.is_some_and(|(j, _)| j == i) {
-                        sweep.checkpoint = cp.map(|boxed| *boxed);
-                    }
-                    sweep.undecided.push(c);
-                }
-                None => sweep.undecided.push(c),
+                Cell::Sat => sweep.sat.push(c),
+                Cell::Unsat => sweep.unsat.push(c),
+                Cell::Aborted(reason) => sweep.aborted.push((c, reason)),
+                Cell::Undecided => sweep.undecided.push(c),
             }
         }
-        Ok(sweep)
+        sweep.decided = sweep.sat.len() + sweep.unsat.len();
+        sweep
     }
 
     /// Refuses a cursor recorded against another schema or under other
@@ -561,21 +506,6 @@ impl<'a> Dimsat<'a> {
             )));
         }
         Ok(())
-    }
-
-    /// Packages an interrupted sweep into its resumable form. Returns
-    /// `None` when the sweep completed (nothing to resume).
-    pub fn sweep_checkpoint(&self, sweep: &CategorySweep) -> Option<SweepCheckpoint> {
-        sweep.interrupted?;
-        Some(SweepCheckpoint {
-            fingerprint: self.schema_fp(),
-            options_key: options_key(&self.opts),
-            sat: sweep.sat.clone(),
-            unsat: sweep.unsat.clone(),
-            aborted: sweep.aborted.clone(),
-            stats: sweep.stats.clone(),
-            inner: sweep.checkpoint.clone(),
-        })
     }
 
     fn run(&self, c: Category, stop_at_first: bool, gov: &mut Governor) -> DimsatOutcome {
@@ -1245,7 +1175,7 @@ mod tests {
     use super::*;
     use odc_frozen::ExhaustiveEnumerator;
     use odc_hierarchy::HierarchySchema;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeSet, HashMap};
     use std::sync::Arc;
 
     fn location_sch() -> DimensionSchema {
@@ -1346,9 +1276,7 @@ mod tests {
     /// The sweep fanned out over `jobs` workers.
     fn sweep_jobs(solver: &Dimsat<'_>, jobs: usize) -> CategorySweep {
         let mut gov = solver.governor();
-        solver
-            .unsatisfiable_categories_run(Run::new(&mut gov).jobs(jobs))
-            .expect("nothing to resume")
+        solver.unsatisfiable_categories_run(Run::new(&mut gov).jobs(jobs))
     }
 
     #[test]
@@ -1822,8 +1750,27 @@ mod tests {
         assert!(Dimsat::new(&ds).resume(&cp).is_ok());
     }
 
+    /// An in-memory item cache: decided answers and pending cursors.
+    #[derive(Default)]
+    struct MapCache(std::sync::Mutex<HashMap<AuditItem, Result<ItemAnswer, String>>>);
+
+    impl crate::ItemCache for MapCache {
+        fn get(&self, _: &DimensionSchema, item: &AuditItem) -> Option<ItemAnswer> {
+            self.0.lock().unwrap().get(item).cloned()?.ok()
+        }
+        fn put(&self, _: &DimensionSchema, item: &AuditItem, answer: ItemAnswer) {
+            self.0.lock().unwrap().insert(item.clone(), Ok(answer));
+        }
+        fn pending(&self, _: &DimensionSchema, item: &AuditItem) -> Option<String> {
+            self.0.lock().unwrap().get(item).cloned()?.err()
+        }
+        fn put_pending(&self, _: &DimensionSchema, item: &AuditItem, cursor: String) {
+            self.0.lock().unwrap().insert(item.clone(), Err(cursor));
+        }
+    }
+
     #[test]
-    fn sweep_resume_merges_to_uninterrupted_report() {
+    fn sweep_resumes_through_its_item_cache() {
         let ds = location_sch();
         let g = ds.hierarchy();
         let extra = odc_constraint::parse_constraint(g, "!SaleRegion_Country").unwrap();
@@ -1832,25 +1779,25 @@ mod tests {
         assert!(clean.is_complete());
         let mut resumed_any = false;
         for limit in 1..400u64 {
-            let budgeted = Dimsat::new(&ds2).with_budget(Budget::unlimited().with_node_limit(limit));
-            let sweep = budgeted.unsatisfiable_categories();
-            let Some(cp) = budgeted.sweep_checkpoint(&sweep) else {
-                assert!(sweep.is_complete());
-                continue;
-            };
+            let cache = MapCache::default();
+            let mut gov = Governor::from_budget(Budget::unlimited().with_node_limit(limit));
             let solver = Dimsat::new(&ds2);
-            let cp = solver
-                .load_sweep_checkpoint(&cp.to_text())
-                .expect("sweep cursor roundtrips");
+            let sweep = solver.unsatisfiable_categories_run(Run::new(&mut gov).cache(&cache));
+            if sweep.is_complete() {
+                continue;
+            }
             let mut gov = solver.governor();
-            let merged = solver
-                .unsatisfiable_categories_run(Run::new(&mut gov).resume(Some(&cp)))
-                .expect("same schema resumes");
+            let merged = solver.unsatisfiable_categories_run(Run::new(&mut gov).cache(&cache));
             assert!(merged.is_complete(), "limit={limit}");
             assert_eq!(merged.unsat, clean.unsat, "limit={limit}");
             assert_eq!(merged.sat, clean.sat, "limit={limit}");
             assert_eq!(merged.decided, clean.decided, "limit={limit}");
-            assert_stats_match(&merged.stats, &clean.stats, &format!("limit={limit}"));
+            // Decided categories answer from the cache and the cut one
+            // resumes its cursor: the two runs together do the clean
+            // sweep's work, once.
+            let mut both = sweep.stats.clone();
+            both.absorb(&merged.stats);
+            assert_stats_match(&both, &clean.stats, &format!("limit={limit}"));
             resumed_any = true;
         }
         assert!(resumed_any, "no budget produced a resumable sweep");

@@ -13,7 +13,7 @@ use odc_core::dimsat::{
 };
 use odc_core::prelude::*;
 use odc_core::summarizability::{
-    advisor, is_summarizable_in_schema_run, BatteryCheckpoint, SummarizabilityVerdict,
+    advisor, is_summarizable_in_schema_run, SummarizabilityVerdict,
 };
 use odc_core::govern::{FaultKind, FaultPlan, FaultTrigger};
 use odc_serve::{Client, ClientError, Response, ServeConfig, Server, ShutdownHandle};
@@ -178,7 +178,7 @@ pub fn answer_direct(ds: &DimensionSchema, q: &Query, opts: DimsatOptions) -> Ob
                 }
             }
             let mut gov = Governor::from_budget(case_budget());
-            battery_obs(ds, c, &s, opts, Run::new(&mut gov))
+            summarizability_obs(ds, &is_summarizable_in_schema_run(ds, c, &s, opts, Run::new(&mut gov)))
         }
         Query::Frozen(root) => match g.category_by_name(root) {
             Some(c) => {
@@ -481,8 +481,7 @@ fn serial_jobs(ds: &DimensionSchema, case: &FuzzCase, ctx: &PairContext<'_>) -> 
     let par_solver = Dimsat::new(ds).with_budget(case_budget());
     let mut gov = par_solver.governor();
     let par = par_solver
-        .unsatisfiable_categories_run(Run::new(&mut gov).jobs(ctx.jobs.max(2)))
-        .unwrap_or_default();
+        .unsatisfiable_categories_run(Run::new(&mut gov).jobs(ctx.jobs.max(2)));
     let g = ds.hierarchy();
     let side = |sweep: &odc_core::dimsat::CategorySweep, name: &str| -> Observation {
         let coherent = sweep.decided == sweep.sat.len() + sweep.unsat.len();
@@ -511,20 +510,6 @@ fn serial_jobs(ds: &DimensionSchema, case: &FuzzCase, ctx: &PairContext<'_>) -> 
         .collect()
 }
 
-/// Observes one Theorem-1 battery run.
-fn battery_obs(
-    ds: &DimensionSchema,
-    c: Category,
-    s: &[Category],
-    opts: DimsatOptions,
-    run: Run<'_, BatteryCheckpoint>,
-) -> Observation {
-    match is_summarizable_in_schema_run(ds, c, s, opts, run) {
-        Ok(out) => summarizability_obs(ds, &out),
-        Err(e) => Observation::error(format!("battery: {e}")),
-    }
-}
-
 /// Naive Theorem-1 battery vs the plan-ordered one.
 fn planned_noplan(ds: &DimensionSchema, case: &FuzzCase) -> Vec<PairResult> {
     case.queries
@@ -544,14 +529,14 @@ fn planned_noplan(ds: &DimensionSchema, case: &FuzzCase) -> Vec<PairResult> {
             }
             let opts = DimsatOptions::default();
             let mut lgov = Governor::from_budget(case_budget());
-            let left = battery_obs(ds, c, &s, opts, Run::new(&mut lgov));
+            let left = is_summarizable_in_schema_run(ds, c, &s, opts, Run::new(&mut lgov));
             let mut gov = Governor::from_budget(case_budget());
             let planned = Run::new(&mut gov).planned(true);
-            let right = battery_obs(ds, c, &s, opts, planned);
+            let right = is_summarizable_in_schema_run(ds, c, &s, opts, planned);
             Some(PairResult {
                 query: q.to_string(),
-                left,
-                right,
+                left: summarizability_obs(ds, &left),
+                right: summarizability_obs(ds, &right),
             })
         })
         .collect()
@@ -615,9 +600,7 @@ fn repo_warm_cold(
 ) -> Result<Vec<PairResult>, PairError> {
     use odc_core::repo::VerdictRepo;
     let mut pgov = Governor::from_budget(case_budget());
-    let plain = advisor::audit_run(ds, Run::new(&mut pgov))
-        .map_err(|e| PairError::Setup(e.to_string()))?
-        .render(ds);
+    let plain = advisor::audit_run(ds, Run::new(&mut pgov)).render(ds);
     if pgov.interrupt().is_some() {
         // A partial plain audit has no byte-identical promise to hold the
         // repo drivers to; the whole comparison is non-comparable.
@@ -638,8 +621,7 @@ fn repo_warm_cold(
     let audit = |repo: &VerdictRepo, planned: bool| -> Result<Observation, PairError> {
         let mut gov = Governor::from_budget(case_budget());
         let run = Run::new(&mut gov).jobs(if planned { 3 } else { 1 }).planned(planned);
-        let report = advisor::audit_run(ds, run.cache(repo))
-            .map_err(|e| PairError::Setup(e.to_string()))?;
+        let report = advisor::audit_run(ds, run.cache(repo));
         if planned && report.interrupted.is_some() {
             return Ok(Observation::unknown("planned repository audit interrupted"));
         }
@@ -662,8 +644,7 @@ fn repo_warm_cold(
     let (dir, repo) = open("sat-only")?;
     let mut gov = Governor::from_budget(case_budget());
     let sweep = Dimsat::new(ds)
-        .unsatisfiable_categories_run(Run::new(&mut gov).cache(&repo))
-        .map_err(|e| PairError::Setup(e.to_string()))?;
+        .unsatisfiable_categories_run(Run::new(&mut gov).cache(&repo));
     let sat_warm = match sweep.interrupted {
         Some(i) => {
             let mut o = Observation::decided("sweep-interrupted");

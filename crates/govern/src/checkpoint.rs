@@ -5,10 +5,13 @@
 //! module owns the *envelope* — a small, dependency-free text container
 //! with a format version, a kind discriminator (which solver layer wrote
 //! the payload), and the fingerprint of the schema the search ran
-//! against. The payload itself is opaque here: each solver layer
-//! (`odc-dimsat` for a single solve or category sweep, the Theorem-1
-//! battery, the advisor audit) defines its own payload lines and parses
-//! them back with [`CheckpointEnvelope::expect`]-validated envelopes.
+//! against. The payload itself is opaque here: the solver layer that
+//! writes one (`odc-dimsat`, for a single solve) defines its payload
+//! lines and parses them back with [`CheckpointEnvelope::expect`]-validated
+//! envelopes. The kinds earlier releases wrote for the category sweep,
+//! the Theorem-1 battery and the advisor audit are retired
+//! ([`CheckpointError::Retired`]): those batteries resume through item
+//! caches now.
 //!
 //! ## Format
 //!
@@ -70,6 +73,12 @@ pub enum CheckpointError {
         /// Fingerprint of the schema being resumed.
         expected: u64,
     },
+    /// An envelope of a kind no longer resumed: the category sweep, the
+    /// Theorem-1 battery and the audit now resume from item-cache files.
+    Retired {
+        /// Kind found in the file.
+        kind: String,
+    },
 }
 
 impl CheckpointError {
@@ -107,6 +116,11 @@ impl fmt::Display for CheckpointError {
                  but the schema being resumed fingerprints to {expected} — \
                  the schema changed; re-solve from scratch"
             ),
+            CheckpointError::Retired { kind } => write!(
+                f,
+                "an {MAGIC} v{CHECKPOINT_VERSION} envelope of kind '{kind}' is a retired \
+                 checkpoint format (checkpoints are item-cache files now); rerun without --resume"
+            ),
         }
     }
 }
@@ -117,8 +131,7 @@ impl std::error::Error for CheckpointError {}
 /// payload lines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointEnvelope {
-    /// Which solver layer wrote the payload (e.g. `dimsat-solve`,
-    /// `category-sweep`, `theorem1-battery`, `advisor-audit`).
+    /// Which solver layer wrote the payload (e.g. `dimsat-solve`).
     pub kind: String,
     /// Fingerprint of the schema the search ran against.
     pub fingerprint: u64,

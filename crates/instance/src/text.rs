@@ -286,32 +286,7 @@ impl LineCuts {
         }
         let start = parents.len();
         if let Some(lt) = self.lt {
-            let list = &line[lt + 1..self.end];
-            let first = list.trim_start();
-            let skipped = &list[..list.len() - first.len()];
-            if first.starts_with('"') && !skipped.bytes().all(|b| b.is_ascii_whitespace()) {
-                // The parent list is read from its first parent on, so
-                // whitespace beyond ASCII before that parent's opening
-                // quote does not hide the quote as it does from the
-                // line's walk: split the list with a walk of its own.
-                let mut push = |piece: &'a str| {
-                    let piece = unquote(piece.trim());
-                    if !piece.is_empty() {
-                        parents.push(piece);
-                    }
-                };
-                let mut from = 0;
-                walk(first.as_bytes(), |i, b| {
-                    if b == b',' {
-                        push(&first[from..i]);
-                        from = i + 1;
-                    }
-                    true
-                });
-                push(&first[from..]);
-            } else {
-                parents.extend(self.pieces(line, lt + 1, self.end).filter(|p| !p.is_empty()));
-            }
+            parents.extend(self.pieces(line, lt + 1, self.end).filter(|p| !p.is_empty()));
         }
         Ok(MemberLine {
             key,
@@ -324,17 +299,23 @@ impl LineCuts {
 
 /// Calls `visit` with the offset of every [`SPECIAL`] byte of `bytes`
 /// outside quoted tokens, until `visit` returns `false`. A `"` opens a
-/// quoted token only where a token starts — after nothing but ASCII
-/// whitespace since the start of `bytes` or the last `:`, `<`, `=` or
-/// `,` — and only when a closing `"` follows; the token ends at that
-/// closing quote, and no separator inside it counts. Any other `"` is
-/// an ordinary character, so a stray quote inside a bare token hides
-/// nothing from the separators.
+/// quoted token only where a token starts — after nothing but
+/// whitespace (any `char::is_whitespace`) since the start of `bytes` or
+/// the last `:`, `<`, `=` or `,` — and only when a closing `"` follows;
+/// the token ends at that closing quote, and no separator inside it
+/// counts. Any other `"` is an ordinary character, so a stray quote
+/// inside a bare token hides nothing from the separators.
 #[inline(always)]
 fn walk(bytes: &[u8], mut visit: impl FnMut(usize, u8) -> bool) {
     let (mut i, mut token_start) = (0, true);
     while let Some(&b) = bytes.get(i) {
         if !SPECIAL[b as usize] {
+            if token_start && (b == 0x0b || b >= 0xc0) {
+                if let Some(len) = other_whitespace(bytes, i) {
+                    i += len;
+                    continue;
+                }
+            }
             token_start = false;
             i += 1;
             continue;
@@ -353,6 +334,21 @@ fn walk(bytes: &[u8], mut visit: impl FnMut(usize, u8) -> bool) {
             || (token_start && b.is_ascii_whitespace());
         i += 1;
     }
+}
+
+/// The byte length of the whitespace character at `bytes[i]` that
+/// [`SPECIAL`] leaves out (`\x0b`, or whitespace beyond ASCII), if one
+/// starts there.
+fn other_whitespace(bytes: &[u8], i: usize) -> Option<usize> {
+    let len = match bytes[i] {
+        0x0b => return Some(1),
+        b if b < 0xc0 => return None,
+        b if b < 0xe0 => 2,
+        b if b < 0xf0 => 3,
+        _ => 4,
+    };
+    let c = std::str::from_utf8(bytes.get(i..i + len)?).ok()?.chars().next()?;
+    c.is_whitespace().then_some(len)
 }
 
 /// Removes one level of surrounding double quotes, if present.
@@ -392,8 +388,13 @@ pub fn instance_to_text(d: &DimensionInstance) -> String {
 }
 
 /// Quotes a token when the bare form would not survive a round trip
-/// through the grammar: it is empty, or holds whitespace, one of
-/// `#:<,="`, or the `->` that marks a fact row in the ingest stream.
+/// through the grammar: it is empty, starts with the `@` of a stream
+/// line's dimension prefix, or holds whitespace, one of `#:<,="`, or
+/// the `->` that marks a fact row in the ingest stream — unless the
+/// quoted form does not read back either and the bare one does (a key
+/// holding a `"` can close its quotes early: `"a<b"c` reads back bare
+/// only). A key with no form that reads back ([`has_readable_form`])
+/// gets the quoted form.
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     push_quoted(&mut out, s);
@@ -402,16 +403,62 @@ pub fn quote(s: &str) -> String {
 
 /// Appends `s` to `out`, quoted by the rule [`quote`] states.
 pub fn push_quoted(out: &mut String, s: &str) {
-    if s.is_empty()
-        || s.contains(|c: char| c.is_whitespace() || "#:<,=\"".contains(c))
-        || s.as_bytes().windows(2).any(|w| w == b"->")
-    {
-        out.push('"');
+    if key_form(s) == Some(false) {
         out.push_str(s);
-        out.push('"');
     } else {
+        out.push('"');
         out.push_str(s);
+        out.push('"');
     }
+}
+
+/// Whether some form of `key` — bare or quoted — reads back as `key`
+/// wherever the grammar puts a key. A key whose `"` is followed by a
+/// separator has none, so a store refuses it at ingest.
+pub fn has_readable_form(key: &str) -> bool {
+    !key.contains('"') || key_form(key).is_some()
+}
+
+/// The form of `key` that reads back: `Some(true)` quoted, `Some(false)`
+/// bare, `None` neither. The quoted form reads back whenever the key
+/// holds no `"`; only a key that does is tried in the grammar.
+fn key_form(key: &str) -> Option<bool> {
+    let plain = !(key.is_empty()
+        || key.starts_with('@')
+        || key.contains(|c: char| c.is_whitespace() || matches!(c, '#' | ':' | '<' | ',' | '=' | '"'))
+        || key.contains("->"));
+    if plain {
+        Some(false)
+    } else if !key.contains('"') || reads_back(&format!("\"{key}\""), key) {
+        Some(true)
+    } else {
+        reads_back(key, key).then_some(false)
+    }
+}
+
+/// Whether `token` reads back as `key` in every place the grammar puts
+/// a key: a member line's key and parents, and a fact row's keys (where
+/// a leading `@` would be a dimension prefix instead).
+fn reads_back(token: &str, key: &str) -> bool {
+    if token.starts_with('@') {
+        return false;
+    }
+    let mut cuts = LineCuts::default();
+    let member = format!("{token} : C < {token}, {token}");
+    cuts.scan(&member);
+    let mut parents = Vec::new();
+    let member_ok = cuts.arrow().is_none()
+        && !cuts.is_blank(&member)
+        && cuts
+            .member(&member, &mut parents)
+            .is_ok_and(|m| (m.key, m.category, m.name) == (key, "C", None))
+        && parents == [key, key];
+    let fact = format!("{token}, {token} -> 1");
+    cuts.scan(&fact);
+    member_ok
+        && cuts.arrow().is_some_and(|a| {
+            cuts.pieces(&fact, 0, a).eq([key, key]) && fact[a + 2..cuts.end()].trim() == "1"
+        })
 }
 
 #[cfg(test)]
@@ -561,6 +608,13 @@ mod tests {
         assert_eq!(parents, ["p,q", "r"]);
         let (_, parents) = member("x : Store <\u{a0} \"p,q\"");
         assert_eq!(parents, ["p,q"]);
+        // The one walk opens the quote too, so it hides a `#` and a `->`.
+        let (_, parents) = member("x : City < \u{3000}\"p#q\"");
+        assert_eq!(parents, ["p#q"]);
+        let (_, parents) = member("x : City < \u{3000}\"p->q\"");
+        assert_eq!(parents, ["p->q"]);
+        let (_, parents) = member("x : City <\x0b\"p#q\", r");
+        assert_eq!(parents, ["p#q", "r"]);
         let src = "\"p,q\" : Country < all\n\u{a0}\"a:b\" : City < \u{3000}\"p,q\"\n\
                    \u{3000}\"s#1\" : Store < \"a:b\"\n";
         let d = parse_instance(schema(), src).unwrap();
@@ -582,6 +636,24 @@ mod tests {
         // An opening quote with no closing one hides nothing.
         let (m, _) = member("\"ab : Store < t");
         assert_eq!((m.key, m.category), ("\"ab", "Store"));
+    }
+
+    #[test]
+    fn keys_are_saved_in_a_form_that_reads_back() {
+        // The quoted form would close early; the bare one reads back.
+        assert_eq!(quote("\"a<b\"c"), "\"a<b\"c");
+        // A stream line's `@` prefix would eat a bare key's start.
+        assert_eq!(quote("@1x"), "\"@1x\"");
+        for key in ["\"a<b\"c", "@1x", "a\"b", "\"c", "a b", "p,q", "a->b", "plain"] {
+            assert!(has_readable_form(key), "{key:?}");
+            let line = format!("{} : Store < {}", quote(key), quote(key));
+            let (m, parents) = member(&line);
+            assert_eq!((m.key, parents), (key, vec![key]), "{line:?}");
+        }
+        // A `"` followed by a separator leaves no form at all.
+        for key in ["a\"<b", "x\",\"y", "\"a\"#"] {
+            assert!(!has_readable_form(key), "{key:?}");
+        }
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! The verdict repository as the audit's per-item cache.
+//! The verdict repository as the batteries' per-item cache.
 //!
-//! [`VerdictRepo`] implements [`ItemCache`], so the one audit driver
-//! (`advisor::audit_run`) and the category sweep consult it through
-//! `Run::cache`: every stage item (`Sat`, `Redundant`, `Census`,
-//! `Rewrite`) is answered from disk when stored, solved and stored with
-//! its proof footprint when not, and an interrupted census or rewrite
-//! item leaves its checkpoint cursor as a pending record that the next
+//! [`VerdictRepo`] implements [`ItemCache`], so the sweep, the
+//! Theorem-1 battery and the one audit driver (`advisor::audit_run`)
+//! consult it through `Run::cache`: every item (`Sat`, `Redundant`,
+//! `Census`, `Rewrite`, `Query`) is answered from disk when stored,
+//! solved and stored with its proof footprint when not, and an
+//! interrupted item leaves its cursor as a pending record that the next
 //! attempt resumes. Keys are [`sub_key`]s of the schema's fingerprint,
 //! so a schema edit re-solves only the items whose footprint it touches.
+//! [`ResumeCache`](crate::ResumeCache), the in-memory cache behind a
+//! checkpoint file, keys and encodes items the same way.
 //!
 //! The solver is deterministic, so a stored answer is what a fresh
 //! solve would decide: the repository changes *when* work happens,
@@ -19,7 +21,7 @@ use odc_dimsat::{implication, AuditItem, DimsatOptions, ItemAnswer, ItemCache, R
 use odc_govern::{Governor, InterruptReason};
 use odc_summarizability::advisor::{audit_run, SchemaReport};
 
-use crate::footprint::{region, summarizable_footprint};
+use crate::footprint::{failing_bottom, region, summarizable_footprint};
 use crate::record::{StoredVerdict, VerdictKey};
 use crate::store::VerdictRepo;
 
@@ -33,101 +35,144 @@ pub fn sub_key(ds: &DimensionSchema, kind: &str, query: &str) -> VerdictKey {
     }
 }
 
-/// The key of an audit item; `None` for a constraint index outside `Σ`.
-fn item_key(ds: &DimensionSchema, item: AuditItem) -> Option<VerdictKey> {
+/// The key of an item; `None` for a constraint index outside `Σ`. A
+/// `Query` is the record `odc summarizable` has always written.
+pub(crate) fn item_key(ds: &DimensionSchema, item: &AuditItem) -> Option<VerdictKey> {
     let g = ds.hierarchy();
     Some(match item {
-        AuditItem::Sat(c) => sub_key(ds, "sat", g.name(c)),
+        AuditItem::Sat(c) => sub_key(ds, "sat", g.name(*c)),
         AuditItem::Redundant(i) => {
-            let dc = ds.constraints().get(i)?;
+            let dc = ds.constraints().get(*i)?;
             sub_key(ds, "redundant", &printer::display_dc(g, dc).to_string())
         }
-        AuditItem::Census(c) => sub_key(ds, "census", g.name(c)),
+        AuditItem::Census(c) => sub_key(ds, "census", g.name(*c)),
         AuditItem::Rewrite(coarse, fine) => sub_key(
             ds,
             "rewrite",
-            &format!("{}<-{}", g.name(coarse), g.name(fine)),
+            &format!("{}<-{}", g.name(*coarse), g.name(*fine)),
         ),
+        AuditItem::Query(target, sources) => {
+            let sources: Vec<&str> = sources.iter().map(|&c| g.name(c)).collect();
+            let query = format!("{}<-{}", g.name(*target), sources.join("+"));
+            sub_key(ds, "cli-summarizable", &query)
+        }
     })
 }
 
+/// A stored record read back as `item`'s answer; another shape is a
+/// miss.
+pub(crate) fn decode_answer(
+    ds: &DimensionSchema,
+    item: &AuditItem,
+    hit: &StoredVerdict,
+) -> Option<ItemAnswer> {
+    let value = hit.value.as_str();
+    match item {
+        AuditItem::Sat(_) => match value {
+            "sat" => Some(ItemAnswer::Sat),
+            "unsat" => Some(ItemAnswer::Unsat),
+            "aborted" => Some(ItemAnswer::Aborted(InterruptReason::FanoutOverflow)),
+            _ => None,
+        },
+        AuditItem::Census(_) => value.parse().ok().map(ItemAnswer::Count),
+        AuditItem::Redundant(_) | AuditItem::Rewrite(..) => match value {
+            "yes" => Some(ItemAnswer::Holds),
+            "no" => Some(ItemAnswer::Fails(
+                hit.payload
+                    .lines()
+                    .find_map(|l| l.strip_prefix("failing-bottom "))
+                    .and_then(|n| ds.hierarchy().category_by_name(n)),
+                None,
+            )),
+            _ => None,
+        },
+        AuditItem::Query(..) => match value {
+            "true" => Some(ItemAnswer::Holds),
+            "false" => Some(ItemAnswer::Fails(
+                failing_bottom(ds.hierarchy(), hit),
+                hit.payload
+                    .lines()
+                    .find_map(|l| l.strip_prefix("countermodel: "))
+                    .map(str::to_string),
+            )),
+            _ => None,
+        },
+    }
+}
+
+/// The record storing `answer` as `item`'s. A `Query` record's payload
+/// is what `odc summarizable` prints for the answer.
+pub(crate) fn encode_answer(
+    ds: &DimensionSchema,
+    item: &AuditItem,
+    answer: ItemAnswer,
+) -> StoredVerdict {
+    let g = ds.hierarchy();
+    let (fb, countermodel) = match &answer {
+        ItemAnswer::Fails(fb, cx) => (*fb, cx.as_deref()),
+        _ => (None, None),
+    };
+    if let AuditItem::Query(target, _) = item {
+        let holds = answer == ItemAnswer::Holds;
+        let mut payload = format!("summarizable: {holds}\n");
+        if let Some(cx) = countermodel {
+            payload.push_str(&format!("countermodel: {cx}\n"));
+        }
+        // A negative verdict is witnessed by one failing bottom; a
+        // positive one depended on the whole battery.
+        let footprint = summarizable_footprint(g, *target, fb);
+        return StoredVerdict {
+            value: holds.to_string(),
+            payload,
+            footprint: footprint.into_iter().collect(),
+        };
+    }
+    let value = match answer {
+        ItemAnswer::Sat => "sat".to_string(),
+        ItemAnswer::Unsat => "unsat".to_string(),
+        ItemAnswer::Aborted(_) => "aborted".to_string(),
+        ItemAnswer::Count(n) => n.to_string(),
+        ItemAnswer::Holds => "yes".to_string(),
+        ItemAnswer::Fails(..) => "no".to_string(),
+    };
+    let payload = fb.map_or_else(String::new, |b| format!("failing-bottom {}\n", g.name(b)));
+    // A proof only examines its root's region; a rewrite verdict's
+    // footprint is its battery's (the failing bottom's region alone
+    // when refuted).
+    let footprint = match item {
+        AuditItem::Sat(c) | AuditItem::Census(c) => region(g, *c),
+        AuditItem::Redundant(i) => region(g, ds.constraints()[*i].root()),
+        AuditItem::Rewrite(coarse, _) | AuditItem::Query(coarse, _) => {
+            summarizable_footprint(g, *coarse, fb)
+        }
+    };
+    StoredVerdict {
+        value,
+        payload,
+        footprint: footprint.into_iter().collect(),
+    }
+}
+
 impl ItemCache for VerdictRepo {
-    fn get(&self, ds: &DimensionSchema, item: AuditItem) -> Option<ItemAnswer> {
+    fn get(&self, ds: &DimensionSchema, item: &AuditItem) -> Option<ItemAnswer> {
         let hit = VerdictRepo::get(self, &item_key(ds, item)?)?;
-        let value = hit.value.as_str();
-        match item {
-            AuditItem::Sat(_) => match value {
-                "sat" => Some(ItemAnswer::Sat),
-                "unsat" => Some(ItemAnswer::Unsat),
-                "aborted" => Some(ItemAnswer::Aborted(InterruptReason::FanoutOverflow)),
-                _ => None,
-            },
-            AuditItem::Census(_) => value.parse().ok().map(ItemAnswer::Count),
-            AuditItem::Redundant(_) | AuditItem::Rewrite(..) => match value {
-                "yes" => Some(ItemAnswer::Holds),
-                "no" => Some(ItemAnswer::Fails(
-                    hit.payload
-                        .lines()
-                        .find_map(|l| l.strip_prefix("failing-bottom "))
-                        .and_then(|n| ds.hierarchy().category_by_name(n)),
-                )),
-                _ => None,
-            },
+        decode_answer(ds, item, &hit)
+    }
+
+    fn put(&self, ds: &DimensionSchema, item: &AuditItem, answer: ItemAnswer) {
+        if let Some(key) = item_key(ds, item) {
+            // A failed append degrades to cache-miss-next-time; the
+            // verdict itself was already proved, so the caller's answer
+            // stands.
+            let _ = VerdictRepo::put(self, key, encode_answer(ds, item, answer));
         }
     }
 
-    fn put(&self, ds: &DimensionSchema, item: AuditItem, answer: ItemAnswer) {
-        let Some(key) = item_key(ds, item) else {
-            return;
-        };
-        let g = ds.hierarchy();
-        let mut payload = String::new();
-        let value = match answer {
-            ItemAnswer::Sat => "sat".to_string(),
-            ItemAnswer::Unsat => "unsat".to_string(),
-            ItemAnswer::Aborted(_) => "aborted".to_string(),
-            ItemAnswer::Count(n) => n.to_string(),
-            ItemAnswer::Holds => "yes".to_string(),
-            ItemAnswer::Fails(fb) => {
-                if let Some(b) = fb {
-                    payload = format!("failing-bottom {}\n", g.name(b));
-                }
-                "no".to_string()
-            }
-        };
-        // A proof only examines its root's region; a rewrite verdict's
-        // footprint is its battery's (the failing bottom's region alone
-        // when refuted).
-        let footprint = match item {
-            AuditItem::Sat(c) | AuditItem::Census(c) => region(g, c),
-            AuditItem::Redundant(i) => region(g, ds.constraints()[i].root()),
-            AuditItem::Rewrite(coarse, _) => {
-                let fb = match answer {
-                    ItemAnswer::Fails(fb) => fb,
-                    _ => None,
-                };
-                summarizable_footprint(g, coarse, fb)
-            }
-        };
-        // A failed append degrades to cache-miss-next-time; the verdict
-        // itself was already proved, so the caller's answer stands.
-        let footprint = footprint.into_iter().collect();
-        let _ = VerdictRepo::put(
-            self,
-            key,
-            StoredVerdict {
-                value,
-                payload,
-                footprint,
-            },
-        );
-    }
-
-    fn pending(&self, ds: &DimensionSchema, item: AuditItem) -> Option<String> {
+    fn pending(&self, ds: &DimensionSchema, item: &AuditItem) -> Option<String> {
         VerdictRepo::pending(self, &item_key(ds, item)?)
     }
 
-    fn put_pending(&self, ds: &DimensionSchema, item: AuditItem, cursor: String) {
+    fn put_pending(&self, ds: &DimensionSchema, item: &AuditItem, cursor: String) {
         if let Some(key) = item_key(ds, item) {
             let _ = VerdictRepo::put_pending(self, key, cursor);
         }
@@ -140,7 +185,7 @@ pub fn audit_with_repo(
     repo: &VerdictRepo,
     gov: &mut Governor,
 ) -> SchemaReport {
-    audit_run(ds, Run::new(gov).cache(repo)).unwrap_or_default()
+    audit_run(ds, Run::new(gov).cache(repo))
 }
 
 #[cfg(test)]
@@ -254,10 +299,10 @@ mod tests {
                 ItemAnswer::Holds
             } else {
                 refuted += 1;
-                ItemAnswer::Fails(plain.failing_bottom)
+                ItemAnswer::Fails(plain.failing_bottom, None)
             };
             let item = AuditItem::Rewrite(coarse, fine);
-            assert_eq!(ItemCache::get(&repo, &ds, item), Some(want));
+            assert_eq!(ItemCache::get(&repo, &ds, &item), Some(want));
         }
         assert!(refuted > 0, "the sample schema has unsafe rewrites");
         let _ = std::fs::remove_dir_all(&d);

@@ -18,10 +18,12 @@
 //!   regions its proof examined. A schema edit invalidates only the
 //!   footprint-overlapping verdicts; the rest migrate to the edited
 //!   schema's fingerprint unchanged.
-//! * [`drivers`] — the repository as the audit's per-item cache
+//! * [`drivers`] — the repository as the batteries' per-item cache
 //!   (`odc_dimsat::ItemCache`): hits answer from disk, misses solve and
-//!   store, and interrupted items persist their checkpoint cursors as
-//!   pending records that warm start the next attempt.
+//!   store, and interrupted items persist their cursors as pending
+//!   records that warm start the next attempt.
+//! * [`ResumeCache`] — the same items in memory, saved to and loaded
+//!   from one checkpoint file in the segments' record framing.
 //!
 //! Fault injection from `odc-govern` (`IoFaultPlan`: torn writes,
 //! skipped renames, stale locks) threads through every write site, so
@@ -37,6 +39,7 @@ pub mod drivers;
 pub mod footprint;
 pub mod fsutil;
 pub mod record;
+pub mod resume;
 pub mod store;
 
 pub use drivers::{audit_with_repo, sub_key};
@@ -47,4 +50,5 @@ pub use footprint::{
 };
 pub use fsutil::atomic_write;
 pub use record::{RecordBody, StoredVerdict, VerdictKey};
+pub use resume::ResumeCache;
 pub use store::{RepoStats, SchemaSync, VerdictRepo};

@@ -139,7 +139,7 @@ fn pid_alive(pid: u32) -> bool {
 /// just past the last intact record and how many were applied. Any
 /// framing, CRC, or decode failure stops the scan at the previous
 /// record boundary.
-fn scan_frames(
+pub(crate) fn scan_frames(
     bytes: &[u8],
     from: usize,
     mut apply: impl FnMut(RecordBody),
@@ -167,7 +167,10 @@ fn scan_frames(
             return (pos, records);
         };
         let body_start = pos + nl + 1;
-        let Some(body) = bytes.get(body_start..body_start + len) else {
+        let Some(body) = body_start
+            .checked_add(len)
+            .and_then(|end| bytes.get(body_start..end))
+        else {
             return (pos, records);
         };
         if crc32(body) != crc {
@@ -185,7 +188,7 @@ fn scan_frames(
     }
 }
 
-fn frame(body: &str) -> Vec<u8> {
+pub(crate) fn frame(body: &str) -> Vec<u8> {
     let bytes = body.as_bytes();
     let mut out = format!("rec {} {:08x}\n", bytes.len(), crc32(bytes)).into_bytes();
     out.extend_from_slice(bytes);

@@ -8,14 +8,21 @@
 //! writer/concurrent-reader). The companion test drives twenty seeded
 //! schema edits through the footprint-based invalidation path and
 //! checks each incremental re-audit against a from-scratch audit.
+//!
+//! The checkpoint file (a saved [`ResumeCache`]) gets the same
+//! treatment: every I/O fault kind at each of two successive writes
+//! leaves the last committed file or one refused with a typed error,
+//! and seeded byte mutations of a valid file load cleanly — never with
+//! an answer the original did not hold — or fail typed, never panic.
 
 use odc_constraint::DimensionSchema;
-use odc_govern::Governor;
+use odc_dimsat::{AuditItem, ItemCache, Run};
+use odc_govern::{Budget, CheckpointError, Governor, IoFaultKind, IoFaultPlan};
 use odc_hierarchy::{Category, HierarchySchema};
 use odc_obs::Obs;
 use odc_rand::rngs::StdRng;
 use odc_rand::{Rng, SeedableRng};
-use odc_repo::{StoredVerdict, VerdictKey, VerdictRepo};
+use odc_repo::{atomic_write, ResumeCache, StoredVerdict, VerdictKey, VerdictRepo};
 use odc_summarizability::advisor;
 use std::collections::BTreeSet;
 use std::fs;
@@ -317,4 +324,103 @@ fn twenty_seeded_edits_incremental_audit_matches_from_scratch() {
     assert_eq!(migrations_seen, 16, "4 structural + 16 constraint edits");
     drop(repo);
     let _ = fs::remove_dir_all(&d);
+}
+
+// ---------------------------------------------------------------------
+// The checkpoint file: crash faults and hostile bytes.
+// ---------------------------------------------------------------------
+
+/// The audit of `ds` cut at `nodes` through a fresh cache.
+fn cut_audit(ds: &DimensionSchema, nodes: u64) -> ResumeCache {
+    let cache = ResumeCache::new(ds);
+    let mut gov = Governor::from_budget(Budget::unlimited().with_node_limit(nodes));
+    let report = advisor::audit_run(ds, Run::new(&mut gov).cache(&cache));
+    assert!(report.interrupted.is_some(), "{nodes} nodes must cut the audit");
+    cache
+}
+
+/// Every item the audit of `ds` asks about.
+fn audit_items(ds: &DimensionSchema) -> Vec<AuditItem> {
+    let g = ds.hierarchy();
+    let mut items: Vec<AuditItem> = g.categories().map(AuditItem::Sat).collect();
+    items.extend((0..ds.constraints().len()).map(AuditItem::Redundant));
+    items.extend(g.bottom_categories().into_iter().map(AuditItem::Census));
+    items.extend(advisor::rewrite_pairs(g).into_iter().map(|(c, f)| AuditItem::Rewrite(c, f)));
+    items
+}
+
+#[test]
+fn checkpoint_file_faults_leave_the_last_committed_file_or_a_typed_refusal() {
+    let ds = branch_schema(3, &BTreeSet::new(), &["B0_T0".into(), "T1 = v1".into()]);
+    let clean = advisor::audit(&ds).render(&ds);
+    let (first, second) = (cut_audit(&ds, 40).to_bytes(), cut_audit(&ds, 400).to_bytes());
+    assert_ne!(first, second, "the two generations must differ");
+    let d = tmpdir("ckpt-faults");
+    fs::create_dir_all(&d).unwrap();
+    for kind in [IoFaultKind::TornWrite, IoFaultKind::SkipRename, IoFaultKind::StaleLock] {
+        for nth in [1, 2] {
+            let path = d.join(format!("{}-{nth}.ckpt", kind.as_str()));
+            let plan = IoFaultPlan::new(kind, nth);
+            atomic_write(&path, &first, Some(&plan)).unwrap();
+            atomic_write(&path, &second, Some(&plan)).unwrap();
+            let ctx = format!("{} at write {nth}", kind.as_str());
+            let committed = match (kind, nth) {
+                (IoFaultKind::TornWrite, 2) => None,
+                (IoFaultKind::SkipRename, 2) => Some(&first),
+                _ => Some(&second),
+            };
+            match (ResumeCache::load(&ds, &fs::read(&path).unwrap()), committed) {
+                (Ok(cache), Some(want)) => {
+                    assert_eq!(&cache.to_bytes(), want, "{ctx}: not the last committed file");
+                    let mut gov = Governor::unlimited();
+                    let resumed = advisor::audit_run(&ds, Run::new(&mut gov).cache(&cache));
+                    assert_eq!(resumed.render(&ds), clean, "{ctx}: resume diverged");
+                }
+                (Err(CheckpointError::Malformed(_)), None) => {}
+                (got, want) => panic!("{ctx}: loaded {:?}, expected {want:?}", got.err()),
+            }
+        }
+    }
+    let _ = fs::remove_dir_all(&d);
+}
+
+#[test]
+fn mutated_checkpoint_files_load_cleanly_or_fail_typed() {
+    let ds = branch_schema(3, &BTreeSet::new(), &["B0_T0".into(), "T1 = v1".into()]);
+    let items = audit_items(&ds);
+    // The first cut that leaves a pending cursor next to decided items.
+    let original = (20..4000u64)
+        .step_by(13)
+        .map(|nodes| cut_audit(&ds, nodes))
+        .find(|c| items.iter().any(|i| c.pending(&ds, i).is_some()))
+        .expect("some cut leaves a pending cursor");
+    let bytes = original.to_bytes();
+    let mut rng = StdRng::seed_from_u64(0x0DC_C4EC);
+    let (mut clean, mut refused) = (0, 0);
+    for round in 0..3000 {
+        let mut m = bytes.clone();
+        let at = rng.gen_range(0..m.len());
+        match rng.gen_range(0u32..4) {
+            0 => m[at] ^= rng.gen_range(1u32..256) as u8,
+            1 => m.truncate(at),
+            2 => m.insert(at, rng.gen_range(0u32..256) as u8),
+            _ => {
+                m.remove(at);
+            }
+        }
+        match ResumeCache::load(&ds, &m) {
+            // A clean load may have lost whole records, never changed one.
+            Ok(cache) => {
+                clean += 1;
+                for item in &items {
+                    let got = cache.get(&ds, item);
+                    assert!(got.is_none() || got == original.get(&ds, item), "round {round}: {item:?}");
+                    let got = cache.pending(&ds, item);
+                    assert!(got.is_none() || got == original.pending(&ds, item), "round {round}: {item:?}");
+                }
+            }
+            Err(_) => refused += 1,
+        }
+    }
+    assert!(refused > 2000, "only {refused} of 3000 mutants refused ({clean} loaded)");
 }

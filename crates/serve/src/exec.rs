@@ -13,11 +13,12 @@ use crate::protocol::{Command, Response};
 use crate::server::Shared;
 use odc_core::constraint::{parse_constraint, printer::display_dc};
 use odc_core::dimsat::{
-    implies_memo_session, Dimsat, DimsatOptions, ImplicationVerdict, Run, Verdict,
+    implies_memo_session, Dimsat, DimsatOptions, ImplicationVerdict, ItemCache, Run, Verdict,
 };
 use odc_core::obs::{Obs, Observer, SolveEnd, SolveStart};
+use odc_core::repo::ResumeCache;
 use odc_core::summarizability::advisor;
-use odc_core::summarizability::{is_summarizable_in_schema_session, SummarizabilityVerdict};
+use odc_core::summarizability::{is_summarizable_in_schema_run, SummarizabilityVerdict};
 use odc_core::{CancelToken, Governor};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -200,7 +201,7 @@ pub(crate) fn execute_solve(
                 Ok(Solved {
                     payload: format!("satisfiable: {answer}\n"),
                     unknown,
-                    checkpoint: outcome.checkpoint.map(|c| c.to_text()),
+                    checkpoint: outcome.checkpoint.map(|c| c.to_text().into_bytes()),
                 })
             },
         ),
@@ -242,14 +243,14 @@ pub(crate) fn execute_solve(
                 let t = find_category(entry, target)?;
                 let s: Result<Vec<_>, String> =
                     sources.iter().map(|n| find_category(entry, n)).collect();
-                let out = is_summarizable_in_schema_session(
-                    ds,
-                    t,
-                    &s?,
-                    DimsatOptions::default(),
-                    gov,
-                    entry.cache().begin_session(),
-                );
+                // A drain checkpoint is the battery's item cache, so a
+                // request keeps one only when drains write checkpoints.
+                let local = shared.checkpoint_dir.as_ref().map(|_| ResumeCache::new(ds));
+                let run = Run {
+                    cache: local.as_ref().map(|k| k as &dyn ItemCache),
+                    ..Run::new(gov).session(entry.cache().begin_session())
+                };
+                let out = is_summarizable_in_schema_run(ds, t, &s?, DimsatOptions::default(), run);
                 let (answer, unknown) = match &out.verdict {
                     SummarizabilityVerdict::Summarizable => ("true".to_string(), None),
                     SummarizabilityVerdict::NotSummarizable => ("false".to_string(), None),
@@ -263,8 +264,8 @@ pub(crate) fn execute_solve(
                 }
                 Ok(Solved {
                     payload,
+                    checkpoint: drain_checkpoint(local, &unknown),
                     unknown,
-                    checkpoint: out.checkpoint.map(|c| c.to_text()),
                 })
             },
         ),
@@ -305,7 +306,7 @@ pub(crate) fn execute_solve(
                 Ok(Solved {
                     payload,
                     unknown,
-                    checkpoint: outcome.checkpoint.map(|c| c.to_text()),
+                    checkpoint: outcome.checkpoint.map(|c| c.to_text().into_bytes()),
                 })
             },
         ),
@@ -317,15 +318,21 @@ pub(crate) fn execute_solve(
                 // and fact scratchpad: a second audit of a resident schema
                 // re-plans nothing and re-proves no category's
                 // satisfiability. A repository answers and records every
-                // item across restarts.
+                // item across restarts; without one, a run-local item
+                // cache is the drain checkpoint, kept only when drains
+                // write checkpoints.
+                let local = (shared.repo.is_none() && shared.checkpoint_dir.is_some())
+                    .then(|| ResumeCache::new(ds));
                 let mut run = Run::new(gov)
                     .planned(true)
                     .session(entry.cache().begin_session())
                     .warm(entry.plan(), entry.facts());
                 if let Some(r) = &shared.repo {
                     run = run.cache(&**r);
+                } else if let Some(k) = &local {
+                    run = run.cache(k);
                 }
-                let report = advisor::audit_run(ds, run).map_err(|e| e.to_string())?;
+                let report = advisor::audit_run(ds, run);
                 let mut payload = report.render(ds);
                 let unknown = report.interrupted.as_ref().map(|i| i.to_string());
                 if unknown.is_none() {
@@ -341,8 +348,8 @@ pub(crate) fn execute_solve(
                 }
                 Ok(Solved {
                     payload,
+                    checkpoint: drain_checkpoint(local, &unknown),
                     unknown,
-                    checkpoint: report.checkpoint.map(|c| c.to_text()),
                 })
             },
         ),
@@ -356,15 +363,24 @@ pub(crate) fn execute_solve(
     }
 }
 
+/// The drain checkpoint of an undecided battery: its item cache, unless
+/// that holds nothing to resume.
+fn drain_checkpoint(cache: Option<ResumeCache>, unknown: &Option<String>) -> Option<Vec<u8>> {
+    cache
+        .filter(|k| unknown.is_some() && !k.is_empty())
+        .map(|k| k.to_bytes())
+}
+
 /// What a reasoning closure hands back to the request harness.
 struct Solved {
     /// CLI-identical payload text.
     payload: String,
     /// `Some(reason)` when the verdict is undecided.
     unknown: Option<String>,
-    /// Envelope text of the resume checkpoint, when the solve was
-    /// interrupted and produced one.
-    checkpoint: Option<String>,
+    /// The checkpoint file's bytes, when the solve was interrupted and
+    /// produced one: a solve's `odc-checkpoint v1` envelope, or a
+    /// battery's item cache.
+    checkpoint: Option<Vec<u8>>,
 }
 
 fn find_category(
@@ -418,9 +434,9 @@ where
                     {
                         let path = dir.join(format!("request-{request_id}.ckpt"));
                         // Atomic (temp + rename + fsync): a crash during
-                        // drain cannot leave a truncated envelope that a
-                        // later `--resume` would refuse.
-                        if odc_core::repo::atomic_write(&path, text.as_bytes(), None).is_ok() {
+                        // drain cannot leave a truncated file that a later
+                        // `--resume` would refuse.
+                        if odc_core::repo::atomic_write(&path, text, None).is_ok() {
                             shared.checkpoints.fetch_add(1, Ordering::SeqCst);
                             payload.push_str(&format!(
                                 "checkpoint written to {}; continue with --resume {}\n",

@@ -47,6 +47,16 @@ pub enum IngestError {
         /// The duplicated key.
         key: String,
     },
+    /// A member key has no form the stream grammar reads back (a `"`
+    /// followed by a separator), so a saved store could not be reopened.
+    UnreadableKey {
+        /// 1-based stream line.
+        row: usize,
+        /// Dimension column.
+        dim: usize,
+        /// The key.
+        key: String,
+    },
     /// Committing the batch would violate one of the paper's instance
     /// conditions C1–C7.
     Condition {
@@ -94,6 +104,7 @@ impl IngestError {
             | IngestError::UnknownCategory { row, .. }
             | IngestError::UnknownParent { row, .. }
             | IngestError::DuplicateMember { row, .. }
+            | IngestError::UnreadableKey { row, .. }
             | IngestError::Condition { row, .. }
             | IngestError::UnknownFactMember { row, .. }
             | IngestError::NonBaseFact { row, .. } => *row,
@@ -131,6 +142,11 @@ impl fmt::Display for IngestError {
             IngestError::DuplicateMember { row, dim, key } => {
                 write!(f, "row {row} (dim {dim}): duplicate member key `{key}`")
             }
+            IngestError::UnreadableKey { row, dim, key } => write!(
+                f,
+                "row {row} (dim {dim}): member key `{key}` has no form that reads back \
+                 (a `\"` is followed by a separator)"
+            ),
             IngestError::Condition {
                 row,
                 dim,

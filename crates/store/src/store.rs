@@ -40,7 +40,7 @@ use crate::error::IngestError;
 use crate::intern::{probe, Interner, EMPTY};
 use odc_core::constraint::DimensionSchema;
 use odc_core::hierarchy::{Category, HierarchySchema};
-use odc_core::instance::text::push_quoted;
+use odc_core::instance::text::{has_readable_form, push_quoted};
 use odc_core::instance::{validate, DimensionInstance, Member};
 use odc_core::olap::{group_by, AggFn, Cuboid, GroupColumn, MultiFactTable, NO_GROUP};
 use std::path::Path;
@@ -459,6 +459,14 @@ impl FactStore {
             let slot = dd.slot(key, hash);
             if dd.by_key[slot] != EMPTY || plane.member(&self.interner, key, hash).is_some() {
                 delta.errors.push(IngestError::DuplicateMember {
+                    row,
+                    dim: rm.dim,
+                    key: key.to_string(),
+                });
+                continue;
+            }
+            if !has_readable_form(key) {
+                delta.errors.push(IngestError::UnreadableKey {
                     row,
                     dim: rm.dim,
                     key: key.to_string(),
@@ -1771,6 +1779,33 @@ constraints:
         let err = FactStore::load(&dir).err();
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(err, Some(IngestError::Io("facts.bin: truncated".into())));
+    }
+
+    /// Saves `s` to a fresh directory and returns the member file's
+    /// bytes and the reopened store.
+    fn save_and_reopen(s: &FactStore, tag: &str) -> (String, FactStore) {
+        let dir = std::env::temp_dir().join(format!("odc-store-{tag}-{}", std::process::id()));
+        s.save(&dir).unwrap();
+        let text = std::fs::read_to_string(dir.join("members.0.odct")).unwrap();
+        let loaded = FactStore::load(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        (text, loaded)
+    }
+
+    #[test]
+    fn saved_keys_read_back_and_keys_without_a_form_are_refused() {
+        let mut s = store();
+        s.ingest_text("\"a<b\"c : Country < all\nx : City < \"a<b\"c\ns : Store < x\n", 1)
+            .unwrap();
+        assert!(s.instance(0).member_by_key("\"a<b\"c").is_some(), "the key keeps its quotes");
+        let (first, loaded) = save_and_reopen(&s, "forms-1");
+        let (second, _) = save_and_reopen(&loaded, "forms-2");
+        assert_eq!(first, second, "save → load → save is a fixed point");
+        assert!(first.contains("\"a<b\"c : Country"), "{first}");
+        // The key `x","y` reads as one key, but no form of it survives
+        // a parent list or a fact row: a `"` followed by a separator.
+        let err = store().ingest_text("\"x\",\"y\" : Country < all\n", 1).unwrap_err();
+        assert!(matches!(err, IngestError::UnreadableKey { row: 1, dim: 0, .. }), "{err}");
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! The oracle takes the `@dim` prefix off before it scans, as
 //! `parse_batch` does: a quote opens a token only at a token start,
 //! which the prefix would hide (`@1 "a#b" : Store` holds the key `a#b`,
-//! not a comment).
+//! not a comment). A token start survives any whitespace, so a quote
+//! behind U+3000 opens a token in both readings.
 
 use odc_rand::rngs::StdRng;
 use odc_rand::{Rng, SeedableRng};
@@ -32,26 +33,26 @@ enum Shape {
 
 // ---- the oracle: one quote-aware scan per question -----------------
 
-/// The bytes of `s` outside quoted tokens, with their offsets: a `"`
-/// opens a token only after nothing but whitespace since the start of
-/// `s` or the last `:`, `<`, `=` or `,`, and only when a closing `"`
-/// follows.
+/// The ASCII bytes of `s` outside quoted tokens, with their offsets: a
+/// `"` opens a token only after nothing but whitespace (any
+/// `char::is_whitespace`) since the start of `s` or the last `:`, `<`,
+/// `=` or `,`, and only when a closing `"` follows.
 fn unquoted_bytes(s: &str) -> impl Iterator<Item = (usize, u8)> + '_ {
-    let bytes = s.as_bytes();
     let (mut i, mut token_start) = (0, true);
     std::iter::from_fn(move || {
-        while let Some(&b) = bytes.get(i) {
-            if b == b'"' && token_start {
-                if let Some(len) = bytes[i + 1..].iter().position(|&c| c == b'"') {
+        while let Some(c) = s[i..].chars().next() {
+            if c == '"' && token_start {
+                if let Some(len) = s[i + 1..].find('"') {
                     i += len + 2;
                     token_start = false;
                     continue;
                 }
             }
-            i += 1;
-            token_start =
-                matches!(b, b':' | b'<' | b'=' | b',') || (token_start && b.is_ascii_whitespace());
-            return Some((i - 1, b));
+            i += c.len_utf8();
+            token_start = matches!(c, ':' | '<' | '=' | ',') || (token_start && c.is_whitespace());
+            if c.is_ascii() {
+                return Some((i - 1, c as u8));
+            }
         }
         None
     })
@@ -338,6 +339,22 @@ fn a_quoted_hash_or_arrow_behind_a_dim_prefix_is_key_text() {
         assert_eq!(got, vec![(1, oracle(line, 1).unwrap())]);
         assert!(
             matches!(&got[0].1, Shape::Member { key: k, .. } if k == key),
+            "{got:?}"
+        );
+    }
+}
+
+#[test]
+fn a_quoted_parent_behind_wide_whitespace_keeps_its_hash_and_arrow() {
+    for (line, parent) in [
+        ("x : City < \u{3000}\"p#q\"", "p#q"),
+        ("x : City < \u{3000}\"p->q\"", "p->q"),
+        ("x : City <\u{a0}\"p,q\", r", "p,q"),
+    ] {
+        let got = parsed(line, 1).unwrap();
+        assert_eq!(got, vec![(1, oracle(line, 1).unwrap())]);
+        assert!(
+            matches!(&got[0].1, Shape::Member { parents, .. } if parents[0] == parent),
             "{got:?}"
         );
     }

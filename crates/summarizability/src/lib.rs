@@ -31,13 +31,11 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod advisor;
-pub mod checkpoint;
 pub mod infer;
 pub mod instance_check;
 pub mod navigator;
 pub mod theorem1;
 
-pub use checkpoint::{AuditCheckpoint, AuditStage, BatteryCheckpoint};
 pub use instance_check::is_summarizable_in_instance;
 pub use theorem1::{
     decide_from_pool, is_summarizable_in_schema, is_summarizable_in_schema_run,

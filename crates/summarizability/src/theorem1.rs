@@ -6,18 +6,20 @@
 //! [`is_summarizable_in_schema_run`] is the battery's one driver: one
 //! loop over the constraints through [`odc_govern::run_items`], under a
 //! [`Run`] that picks serial or parallel, unplanned or planned, a
-//! memo-cache session and a checkpoint to resume. The advisor's rewrite
-//! matrix runs the same loop per pair, with its census shortcuts.
+//! memo-cache session and an item cache to answer from and resume
+//! through. The advisor's rewrite matrix runs the same loop per pair,
+//! with its census shortcuts.
 //! [`is_summarizable_in_schema`] is the paper-level call and
 //! [`is_summarizable_in_schema_session`] a one-line wrapper for callers
 //! holding a warm cache.
 
-use crate::checkpoint::BatteryCheckpoint;
 use odc_constraint::{expand, Constraint, DimensionConstraint, DimensionSchema};
-use odc_dimsat::checkpoint::options_key;
-use odc_dimsat::{implication, CacheSession, DimsatOptions, ImplicationVerdict, Run, SearchStats};
+use odc_dimsat::{
+    implication, AuditItem, CacheSession, DimsatOptions, ImplicationVerdict, ItemAnswer,
+    ItemCache, Run, SearchStats,
+};
 use odc_frozen::FrozenDimension;
-use odc_govern::{run_items, CheckpointError, Flow, Governor, Interrupt};
+use odc_govern::{run_items, Flow, Governor, Interrupt};
 use odc_hierarchy::{CatSet, Category, HierarchySchema};
 use odc_obs::PlanEvent;
 use odc_plan::{QueryPlan, SharedFacts};
@@ -71,14 +73,14 @@ pub struct SummarizabilityOutcome {
     /// A frozen countermodel: a minimal instance shape in which the
     /// rewriting would be wrong.
     pub counterexample: Option<FrozenDimension>,
-    /// Accumulated DIMSAT statistics over all bottom-category queries
-    /// (populated even on interrupted runs).
+    /// The countermodel as text, when an item cache answered the query:
+    /// the cache keeps what [`FrozenDimension::display`] rendered, not
+    /// the witness (see [`Self::countermodel_text`]).
+    pub countermodel: Option<String>,
+    /// DIMSAT statistics of this run's bottom-category queries
+    /// (populated even on interrupted runs; a cached answer costs
+    /// nothing).
     pub stats: SearchStats,
-    /// On an interrupted battery: the constraint-granular cursor to
-    /// resume from ([`is_summarizable_in_schema_run`] with `Run::resume`). Its stats cover
-    /// the *decided* constraints only, so an interrupted-plus-resumed
-    /// battery's totals match an uninterrupted one's.
-    pub checkpoint: Option<BatteryCheckpoint>,
 }
 
 impl SummarizabilityOutcome {
@@ -106,6 +108,32 @@ impl SummarizabilityOutcome {
             _ => None,
         }
     }
+
+    /// The countermodel as `odc summarizable` prints it: rendered from
+    /// the witness, or read back from an item cache.
+    pub fn countermodel_text(&self, ds: &DimensionSchema) -> Option<String> {
+        match &self.counterexample {
+            Some(cx) => Some(cx.display(ds).to_string()),
+            None => self.countermodel.clone(),
+        }
+    }
+
+    /// The outcome an item cache's `answer` stands for; another answer
+    /// shape is a miss.
+    fn cached(answer: ItemAnswer) -> Option<Self> {
+        let (verdict, failing_bottom, countermodel) = match answer {
+            ItemAnswer::Holds => (SummarizabilityVerdict::Summarizable, None, None),
+            ItemAnswer::Fails(b, text) => (SummarizabilityVerdict::NotSummarizable, b, text),
+            _ => return None,
+        };
+        Some(SummarizabilityOutcome {
+            verdict,
+            failing_bottom,
+            counterexample: None,
+            countermodel,
+            stats: SearchStats::default(),
+        })
+    }
 }
 
 /// Tests whether `c` is summarizable from `S` in every instance over
@@ -117,7 +145,7 @@ pub fn is_summarizable_in_schema(
     s: &[Category],
 ) -> SummarizabilityOutcome {
     let mut gov = Governor::unlimited();
-    drive(ds, c, s, DimsatOptions::default(), Run::new(&mut gov))
+    is_summarizable_in_schema_run(ds, c, s, DimsatOptions::default(), Run::new(&mut gov))
 }
 
 /// [`is_summarizable_in_schema`] on a caller's governor, through a
@@ -133,7 +161,7 @@ pub fn is_summarizable_in_schema_session(
     gov: &mut Governor,
     session: CacheSession<'_>,
 ) -> SummarizabilityOutcome {
-    drive(ds, c, s, opts, Run::new(gov).session(session))
+    is_summarizable_in_schema_run(ds, c, s, opts, Run::new(gov).session(session))
 }
 
 /// The Theorem-1 battery's one driver: one implication query per bottom
@@ -148,41 +176,32 @@ pub fn is_summarizable_in_schema_session(
 ///   one shared budget, with first-countermodel cancellation: as soon as
 ///   any worker refutes its constraint the others stop (the caller's
 ///   token is never flipped).
+/// * `run.cache` answers the whole query as an [`AuditItem::Query`]
+///   before any constraint is built and is told the decided verdict,
+///   with its failing bottom and countermodel text. An interrupted
+///   battery leaves the bottoms it proved implied there as the item's
+///   pending record, and the next run skips them.
 ///
 /// The yes/no verdict is the same in every mode under a sufficient
 /// budget. A countermodel is a proof, so it wins over another worker's
 /// interrupt; when several bottoms fail, a planned or parallel run
 /// reports the lowest-indexed one it *found*, which may differ from the
-/// first in bottom order. An interrupted battery carries a
-/// decided-prefix [`BatteryCheckpoint`] whose stats cover the decided
-/// constraints only, so interrupted-plus-resumed totals match an
-/// uninterrupted run's. `run.resume` continues such a checkpoint (any
-/// mode may resume any checkpoint); one recorded for another schema,
-/// other options, or another query is refused.
+/// first in bottom order.
 pub fn is_summarizable_in_schema_run(
     ds: &DimensionSchema,
     c: Category,
     s: &[Category],
     opts: DimsatOptions,
-    run: Run<'_, BatteryCheckpoint>,
-) -> Result<SummarizabilityOutcome, CheckpointError> {
-    if let Some(cp) = run.resume {
-        check_battery_checkpoint(ds, cp, c, s, &opts)?;
-    }
-    Ok(drive(ds, c, s, opts, run))
-}
-
-/// [`is_summarizable_in_schema_run`] past the checkpoint check.
-fn drive(
-    ds: &DimensionSchema,
-    c: Category,
-    s: &[Category],
-    opts: DimsatOptions,
-    run: Run<'_, BatteryCheckpoint>,
+    run: Run<'_>,
 ) -> SummarizabilityOutcome {
-    // A resumed battery rebuilds the recorded query, source order
-    // included, so its constraints index exactly as they did.
-    let s = run.resume.map_or(s, |cp| &cp.sources[..]);
+    let item = run.cache.map(|k| (k, AuditItem::Query(c, s.to_vec())));
+    if let Some(out) = item
+        .as_ref()
+        .and_then(|(k, item)| k.get(ds, item))
+        .and_then(SummarizabilityOutcome::cached)
+    {
+        return out;
+    }
     let constraints = summarizability_constraints(ds.hierarchy(), c, s);
     let plan = run.plan.then(|| odc_plan::plan_battery(ds, &constraints));
     let battery = Battery {
@@ -193,7 +212,8 @@ fn drive(
         plan: plan.as_ref(),
         shortcuts: None,
     };
-    let out = battery.run_query(run.gov, run.jobs, c, s, run.resume);
+    let item = item.as_ref().map(|(k, item)| (*k, item));
+    let out = battery.run_cached(run.gov, run.jobs, item);
     if let Some(p) = &plan {
         run.gov.obs().plan(&PlanEvent {
             battery: "theorem1_battery",
@@ -207,42 +227,25 @@ fn drive(
     out
 }
 
-/// Refuses a battery checkpoint recorded for another schema, under
-/// other DIMSAT options, or for another query (target and source set).
-pub(crate) fn check_battery_checkpoint(
-    ds: &DimensionSchema,
-    cp: &BatteryCheckpoint,
-    c: Category,
-    s: &[Category],
-    opts: &DimsatOptions,
-) -> Result<(), CheckpointError> {
-    CheckpointError::check_fingerprint(cp.fingerprint, implication::schema_fingerprint(ds))?;
-    let key = options_key(opts);
-    if cp.options_key != key {
-        return Err(CheckpointError::malformed(format!(
-            "checkpoint was recorded under options [{}], resume requested [{}]",
-            cp.options_key, key
-        )));
+/// The pending record of an interrupted battery item: the bottoms whose
+/// constraints it already proved implied, one name per line.
+fn implied_record(g: &HierarchySchema, bottoms: &[Category]) -> String {
+    let mut text = String::from("implied\n");
+    for &b in bottoms {
+        text.push_str(g.name(b));
+        text.push('\n');
     }
-    let mut want = s.to_vec();
-    let mut have = cp.sources.clone();
-    want.sort_unstable();
-    have.sort_unstable();
-    // The cursor only means anything for the query it was taken from —
-    // resuming it under another target or source set would silently
-    // answer the old question.
-    if cp.target != c || want != have {
-        let g = ds.hierarchy();
-        let names = |cs: &[Category]| cs.iter().map(|&x| g.name(x)).collect::<Vec<_>>().join(", ");
-        return Err(CheckpointError::malformed(format!(
-            "checkpoint is for {} from {{{}}}, but {} from {{{}}} was requested",
-            g.name(cp.target),
-            names(&cp.sources),
-            g.name(c),
-            names(s),
-        )));
+    text
+}
+
+/// Inverse of [`implied_record`]; `None` (a miss) for any other text,
+/// such as an earlier release's battery checkpoint.
+fn parse_implied(g: &HierarchySchema, text: &str) -> Option<Vec<Category>> {
+    let mut lines = text.lines();
+    if lines.next()? != "implied" {
+        return None;
     }
-    Ok(())
+    lines.map(|name| g.category_by_name(name)).collect()
 }
 
 /// Per-bottom witness pools produced by a *complete* census enumeration:
@@ -330,54 +333,69 @@ impl Battery<'_> {
         }
     }
 
-    /// Runs the battery of the query `c` from `s` from `resume`'s decided
-    /// prefix (or from the start); an interrupted outcome carries the
-    /// checkpoint to resume from.
-    pub(crate) fn run_query(
+    /// Runs the battery as `item` of an item cache, when given one (the
+    /// caller already asked it for a decided answer): the bottoms the
+    /// item's pending record lists as implied are skipped, and the
+    /// outcome is stored — a decided verdict as the item's answer (the
+    /// countermodel's text with it for a `Query`), an interrupted one as
+    /// the bottoms now known implied.
+    pub(crate) fn run_cached(
         &self,
         gov: &mut Governor,
         jobs: usize,
-        c: Category,
-        s: &[Category],
-        resume: Option<&BatteryCheckpoint>,
+        cached: Option<(&dyn ItemCache, &AuditItem)>,
     ) -> SummarizabilityOutcome {
-        let (first, base) = resume.map_or((0, SearchStats::default()), |cp| (cp.next, cp.stats.clone()));
-        let (mut out, prefix) = self.run(gov, jobs, first, base);
-        out.checkpoint = prefix.map(|(next, stats)| BatteryCheckpoint {
-            fingerprint: implication::schema_fingerprint(self.ds),
-            options_key: options_key(&self.opts),
-            target: c,
-            sources: s.to_vec(),
-            next,
-            stats,
-        });
+        let Some((cache, item)) = cached else {
+            return self.run(gov, jobs, &[]).0;
+        };
+        let (ds, g) = (self.ds, self.ds.hierarchy());
+        let known = cache
+            .pending(ds, item)
+            .and_then(|text| parse_implied(g, &text))
+            .unwrap_or_default();
+        let (out, implied) = self.run(gov, jobs, &known);
+        match out.verdict {
+            SummarizabilityVerdict::Summarizable => cache.put(ds, item, ItemAnswer::Holds),
+            SummarizabilityVerdict::NotSummarizable => {
+                let text = match item {
+                    AuditItem::Query(..) => out.countermodel_text(ds),
+                    _ => None,
+                };
+                cache.put(ds, item, ItemAnswer::Fails(out.failing_bottom, text));
+            }
+            SummarizabilityVerdict::Unknown(_) if !implied.is_empty() => {
+                cache.put_pending(ds, item, implied_record(g, &implied));
+            }
+            SummarizabilityVerdict::Unknown(_) => {}
+        }
         out
     }
 
-    /// Runs the constraints from `first` on (those before it are proved
-    /// implied, at a cost of `base`). The outcome's stats include an
-    /// interrupted query's partial counters; on an interrupt the second
-    /// value is the decided prefix — the first undecided constraint and
-    /// the counters of the decided ones before it, which is what a
-    /// checkpoint carries since resume re-runs that query in full.
+    /// Runs every constraint whose bottom is not in `known` (bottoms an
+    /// earlier run proved implied). The outcome's stats cover this run's
+    /// queries, an interrupted one's partial counters included; on an
+    /// interrupt the second value lists every bottom now known implied.
     fn run(
         &self,
         gov: &mut Governor,
         jobs: usize,
-        first: usize,
-        base: SearchStats,
-    ) -> (SummarizabilityOutcome, Option<(usize, SearchStats)>) {
+        known: &[Category],
+    ) -> (SummarizabilityOutcome, Vec<Category>) {
         let n = self.constraints.len();
+        let skip = |i: usize| known.contains(&self.constraints[i].root());
         let decide = |i: usize, gov: &mut Governor| self.decide(&self.constraints[i], gov);
         let ran = match self.plan {
             Some(p) => {
-                let order = p.order.iter().copied().filter(move |&i| i >= first);
+                let order = p.order.iter().copied().filter(move |&i| !skip(i));
                 run_items(gov, jobs, n, order, "theorem1_battery", decide)
             }
-            None => run_items(gov, jobs, n, first..n, "theorem1_battery", decide),
+            None => {
+                let order = (0..n).filter(move |&i| !skip(i));
+                run_items(gov, jobs, n, order, "theorem1_battery", decide)
+            }
         };
         let mut items = ran.items;
-        let mut stats = base.clone();
+        let mut stats = SearchStats::default();
         for a in items.iter().flatten() {
             stats.absorb(a.stats());
         }
@@ -393,31 +411,29 @@ impl Battery<'_> {
             (None, Some((_, intr))) => (SummarizabilityVerdict::Unknown(intr), None, None),
             (None, None) => (SummarizabilityVerdict::Summarizable, None, None),
         };
-        let prefix = matches!(verdict, SummarizabilityVerdict::Unknown(_)).then(|| {
+        let mut implied = Vec::new();
+        if matches!(verdict, SummarizabilityVerdict::Unknown(_)) {
             // An alias is decided once its canonical (always an earlier
             // constraint) is.
-            let mut implied = vec![false; n];
+            let mut done = vec![false; n];
             for k in 0..n {
                 let alias = self.plan.and_then(|p| p.alias_of[k]);
-                implied[k] = k < first
+                done[k] = skip(k)
                     || matches!(items[k], Some(Answer::Implied(_)))
-                    || alias.is_some_and(|j| implied[j]);
+                    || alias.is_some_and(|j| done[j]);
+                if done[k] {
+                    implied.push(self.constraints[k].root());
+                }
             }
-            let next = implied.iter().position(|&d| !d).unwrap_or(n);
-            let mut decided = base;
-            for a in items[..next].iter().flatten() {
-                decided.absorb(a.stats());
-            }
-            (next, decided)
-        });
+        }
         let outcome = SummarizabilityOutcome {
             verdict,
             failing_bottom,
             counterexample,
+            countermodel: None,
             stats,
-            checkpoint: None,
         };
-        (outcome, prefix)
+        (outcome, implied)
     }
 }
 
@@ -462,6 +478,7 @@ pub fn decide_from_pool(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::advisor::tests::FakeCache;
     use odc_dimsat::ImplicationCache;
     use odc_govern::{Budget, CancelToken};
     use std::sync::Arc;
@@ -514,29 +531,18 @@ mod tests {
     ) -> SummarizabilityOutcome {
         let run = Run::new(&mut gov).jobs(jobs);
         is_summarizable_in_schema_run(ds, c, s, DimsatOptions::default(), run)
-            .expect("nothing to resume")
     }
 
-    /// The serial battery on `gov`.
-    fn battery_on(
+    /// The serial battery on `gov` through `cache`.
+    fn battery_cached(
         ds: &DimensionSchema,
         c: Category,
         s: &[Category],
         gov: &mut Governor,
+        cache: &FakeCache,
     ) -> SummarizabilityOutcome {
-        is_summarizable_in_schema_run(ds, c, s, DimsatOptions::default(), Run::new(gov))
-            .expect("nothing to resume")
-    }
-
-    /// Resumes `cp` serially on an unlimited governor.
-    fn resume_with(
-        ds: &DimensionSchema,
-        cp: &BatteryCheckpoint,
-        opts: DimsatOptions,
-    ) -> Result<SummarizabilityOutcome, CheckpointError> {
-        let mut gov = Governor::unlimited();
-        let run = Run::new(&mut gov).resume(Some(cp));
-        is_summarizable_in_schema_run(ds, cp.target, &cp.sources, opts, run)
+        let run = Run::new(gov).cache(cache);
+        is_summarizable_in_schema_run(ds, c, s, DimsatOptions::default(), run)
     }
 
     #[test]
@@ -743,112 +749,81 @@ mod tests {
         .unwrap()
     }
 
-    fn assert_battery_stats_match(a: &SearchStats, b: &SearchStats, ctx: &str) {
-        assert_eq!(a.expand_calls, b.expand_calls, "expand_calls {ctx}");
-        assert_eq!(a.check_calls, b.check_calls, "check_calls {ctx}");
-        assert_eq!(
-            a.assignments_tested, b.assignments_tested,
-            "assignments_tested {ctx}"
-        );
-        assert_eq!(a.struct_clones, b.struct_clones, "struct_clones {ctx}");
-    }
-
     #[test]
-    fn battery_resume_merges_to_uninterrupted_verdict() {
-        use crate::checkpoint::load_battery_checkpoint;
+    fn battery_resumes_through_its_item_cache() {
         let ds = tri_bottom_sch();
         let target = cat(&ds, "Country");
         let sources = [cat(&ds, "City")];
-        let clean =
-            is_summarizable_in_schema(&ds, target, &sources);
+        let clean = is_summarizable_in_schema(&ds, target, &sources);
         assert_eq!(
             summarizability_constraints(ds.hierarchy(), target, &sources).len(),
             3,
             "three bottoms, three battery items"
         );
+        let item = AuditItem::Query(target, sources.to_vec());
         let mut mid_battery = false;
         for limit in 1..3000u64 {
-            let mut gov = Governor::new(
-                Budget::unlimited().with_node_limit(limit),
-                CancelToken::new(),
-            );
-            let partial = battery_on(&ds, target, &sources, &mut gov);
+            let cache = FakeCache::default();
+            let mut gov = Governor::from_budget(Budget::unlimited().with_node_limit(limit));
+            let partial = battery_cached(&ds, target, &sources, &mut gov, &cache);
             if !partial.is_unknown() {
                 assert_eq!(partial.verdict, clean.verdict);
                 break;
             }
-            let cp = partial.checkpoint.expect("interrupted battery checkpoints");
-            if cp.next > 0 {
-                mid_battery = true;
+            // The pending record names the bottoms already proved.
+            if let Some(text) = ItemCache::pending(&cache, &ds, &item) {
+                let known = parse_implied(ds.hierarchy(), &text).expect("a readable record");
+                mid_battery |= !known.is_empty();
             }
-            // Through the text form, like a real restart would.
-            let cp = load_battery_checkpoint(&ds, &cp.to_text()).expect("roundtrip");
-            let merged = resume_with(&ds, &cp, DimsatOptions::default())
-                .expect("same schema resumes");
+            let merged = battery_cached(&ds, target, &sources, &mut Governor::unlimited(), &cache);
             assert_eq!(merged.verdict, clean.verdict, "limit={limit}");
-            assert_battery_stats_match(&merged.stats, &clean.stats, &format!("limit={limit}"));
+            // The decided verdict is stored: a third run costs nothing.
+            let again = battery_cached(&ds, target, &sources, &mut Governor::unlimited(), &cache);
+            assert_eq!(again.verdict, clean.verdict, "limit={limit}");
+            assert_eq!(again.stats.expand_calls, 0, "limit={limit}");
         }
         assert!(mid_battery, "no budget interrupted past the first item");
     }
 
     #[test]
-    fn battery_resume_refuses_other_schema_or_options() {
+    fn pending_records_are_per_query_and_old_text_is_a_miss() {
         let ds = tri_bottom_sch();
-        let target = cat(&ds, "Country");
+        let (country, region) = (cat(&ds, "Country"), cat(&ds, "Region"));
         let sources = [cat(&ds, "City")];
-        let mut gov = Governor::new(
-            Budget::unlimited().with_node_limit(4),
-            CancelToken::new(),
-        );
-        let partial = battery_on(&ds, target, &sources, &mut gov);
-        let cp = partial.checkpoint.expect("tiny budget interrupts");
-        let other = location_sch();
-        assert!(matches!(
-            resume_with(&other, &cp, DimsatOptions::default()),
-            Err(odc_govern::CheckpointError::FingerprintMismatch { .. })
-        ));
-        assert!(matches!(
-            resume_with(&ds, &cp, DimsatOptions::default().without_trail()),
-            Err(odc_govern::CheckpointError::Malformed(_))
-        ));
-        // The cursor only means anything for the query it was taken from.
-        let mut gov = Governor::unlimited();
-        let other_query = Run::new(&mut gov).resume(Some(&cp));
-        assert!(matches!(
-            is_summarizable_in_schema_run(
-                &ds,
-                cat(&ds, "Region"),
-                &sources,
-                DimsatOptions::default(),
-                other_query,
-            ),
-            Err(odc_govern::CheckpointError::Malformed(_))
-        ));
+        let cache = FakeCache::default();
+        let mut gov = Governor::from_budget(Budget::unlimited().with_node_limit(4));
+        let partial = battery_cached(&ds, country, &sources, &mut gov, &cache);
+        assert!(partial.is_unknown(), "tiny budget interrupts");
+        // Another query does not see the first one's record.
+        let other = battery_cached(&ds, region, &sources, &mut Governor::unlimited(), &cache);
+        assert_eq!(other.verdict, is_summarizable_in_schema(&ds, region, &sources).verdict);
+        // An earlier release's battery checkpoint loses its cursor, not
+        // its answer.
+        let item = AuditItem::Query(country, sources.to_vec());
+        let old = "odc-checkpoint v1\nkind theorem1-battery\nfingerprint 1\nnext 2\nend\n";
+        ItemCache::put_pending(&cache, &ds, &item, old.to_string());
+        let resumed = battery_cached(&ds, country, &sources, &mut Governor::unlimited(), &cache);
+        assert_eq!(resumed.verdict, is_summarizable_in_schema(&ds, country, &sources).verdict);
     }
 
     #[test]
-    fn parallel_battery_resume_matches_serial_verdict() {
-        use crate::checkpoint::load_battery_checkpoint;
+    fn parallel_battery_resumes_to_the_serial_verdict() {
         let ds = tri_bottom_sch();
         let target = cat(&ds, "Country");
         let sources = [cat(&ds, "City")];
         let clean = is_summarizable_in_schema(&ds, target, &sources);
         let mut resumed_any = false;
         for limit in (1..3000u64).step_by(7) {
-            let budget = Budget::unlimited().with_node_limit(limit);
-            let gov = Governor::new(budget, CancelToken::new());
-            let partial = battery_jobs(&ds, target, &sources, gov, 3);
+            let cache = FakeCache::default();
+            let mut gov = Governor::from_budget(Budget::unlimited().with_node_limit(limit));
+            let run = Run::new(&mut gov).jobs(3).cache(&cache);
+            let partial =
+                is_summarizable_in_schema_run(&ds, target, &sources, DimsatOptions::default(), run);
             if !partial.is_unknown() {
                 continue;
             }
-            let Some(cp) = partial.checkpoint else {
-                continue;
-            };
-            let cp = load_battery_checkpoint(&ds, &cp.to_text()).expect("roundtrip");
-            let merged = resume_with(&ds, &cp, DimsatOptions::default())
-                .expect("same schema resumes");
+            let merged = battery_cached(&ds, target, &sources, &mut Governor::unlimited(), &cache);
             assert_eq!(merged.verdict, clean.verdict, "limit={limit}");
-            assert_battery_stats_match(&merged.stats, &clean.stats, &format!("limit={limit}"));
             resumed_any = true;
         }
         assert!(resumed_any, "no budget produced a resumable parallel battery");

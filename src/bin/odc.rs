@@ -22,12 +22,14 @@
 //! errors). `--jobs <n>` fans the batch commands (`check`,
 //! `summarizable`) out over worker threads sharing the one budget.
 //!
-//! Interrupted work is recoverable: `--checkpoint <path>` persists the
-//! search cursor of an undecided `check`/`summarizable`/`frozen` run,
-//! `--resume <path>` continues a later invocation exactly where it
-//! stopped, and `--retry <n>` retries in-process with a doubling budget
-//! before giving up. `--fault <spec>` arms deterministic fault injection
-//! (e.g. `interrupt:node:500`) for chaos-testing those paths.
+//! Interrupted work is recoverable: `--checkpoint <path>` saves what an
+//! undecided `check`/`summarizable` run decided (and the cursors of the
+//! items it was cut in) as an item-cache file, `--resume <path>` runs a
+//! later invocation against it, and `--retry <n>` retries in-process
+//! with a doubling budget, every attempt answering from what the earlier
+//! ones decided. `frozen` saves and resumes the one solve's cursor.
+//! `--fault <spec>` arms deterministic fault injection (e.g.
+//! `interrupt:node:500`) for chaos-testing those paths.
 //!
 //! `--repo <dir>` points `check`/`implies`/`summarizable`/`frozen` (and
 //! `serve`) at a crash-safe on-disk verdict repository: decided queries
@@ -35,15 +37,15 @@
 //! schema edit invalidates only the verdicts whose proof footprints the
 //! edit touches. The repository subsumes `--checkpoint`/`--resume`.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 use odc_core::dimsat::trace::render_trace;
-use odc_core::dimsat::{AnytimeDriver, ImplicationCache};
+use odc_core::dimsat::{AnytimeDriver, ImplicationCache, ItemCache};
 use odc_core::govern::{FaultKind, FaultPlan, FaultTrigger, IoFaultKind, IoFaultPlan};
 use odc_core::hierarchy::dot;
 use odc_core::prelude::*;
 use odc_core::repo::{self as vrepo, VerdictRepo};
 use odc_core::summarizability::advisor;
-use odc_core::summarizability::checkpoint::{load_audit_checkpoint, load_battery_checkpoint};
-use odc_core::summarizability::{BatteryCheckpoint, SummarizabilityOutcome};
 use odc_serve::{ServeConfig, Server};
 use std::path::Path;
 use std::process::ExitCode;
@@ -151,13 +153,17 @@ options (reasoning commands):
   --stats-json <path>  write structured solve events (JSON lines) to <path>
   --progress           report heartbeats and solve verdicts on stderr
 checkpoint/resume (check, summarizable, frozen):
-  --checkpoint <path>  when the budget runs out undecided, write the resume
-                       cursor to <path> (exit code 2 still signals undecided)
-  --resume <path>      continue from a cursor written by --checkpoint; refused
-                       if the schema or solver options changed in between
+  --checkpoint <path>  when the budget runs out undecided, write what the run
+                       decided and the cursors of the items it was cut in to
+                       <path> (frozen: the solve's cursor; exit code 2 still
+                       signals undecided)
+  --resume <path>      run against a file written by --checkpoint: decided
+                       items answer from it, cut items continue from their
+                       cursors; refused if the schema changed in between, and
+                       for the envelopes of earlier releases (rerun without)
   --retry <n>          on budget exhaustion, retry up to <n> more times
-                       in-process, doubling the budget and resuming the
-                       checkpoint each time
+                       in-process, doubling the budget; each attempt answers
+                       what the earlier ones decided
 verdict repository (check, implies, summarizable, frozen, cube, serve):
   --repo <dir>         consult and grow a crash-safe on-disk verdict store:
                        hits answer from disk, misses solve and persist, and
@@ -280,38 +286,25 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                 r.sync_schema(&ds, file, &src)
                     .map_err(|e| format!("--repo: {e}"))?;
             }
-            let mut cp = match &flags.resume {
-                Some(path) => Some(
-                    load_audit_checkpoint(&ds, &read_file(path)?)
-                        .map_err(|e| format!("--resume {path}: {e}"))?,
-                ),
-                None => None,
-            };
+            let local = resume_cache(&ds, &flags)?;
+            let cache = item_cache(&repo, &local);
             // Every attempt is the same run: planned or not, over `jobs`
-            // workers, through one memo-cache and the repository, each
-            // resuming the previous attempt's checkpoint.
-            let cache = ImplicationCache::for_schema(&ds);
+            // workers, through one memo-cache and one item cache.
+            let memo = ImplicationCache::for_schema(&ds);
             let mut attempt_budget = budget;
             let mut attempts = 0u32;
             let report = loop {
                 attempts += 1;
                 let mut gov = make_governor(attempt_budget, &obs, &flags.fault);
-                let mut run = Run::new(&mut gov)
-                    .jobs(jobs)
-                    .planned(plan)
-                    .session(cache.begin_session())
-                    .resume(cp.as_ref());
-                if let Some(r) = &repo {
-                    run = run.cache(r);
-                }
-                let report = advisor::audit_run(&ds, run).map_err(|e| format!("resume: {e}"))?;
-                if report.interrupted.is_none()
-                    || attempts > flags.retry
-                    || report.checkpoint.is_none()
-                {
+                let run = Run::new(&mut gov).jobs(jobs).planned(plan);
+                let run = Run {
+                    cache,
+                    ..run.session(memo.begin_session())
+                };
+                let report = advisor::audit_run(&ds, run);
+                if report.interrupted.is_none() || attempts > flags.retry {
                     break report;
                 }
-                cp = report.checkpoint;
                 attempt_budget = attempt_budget.scaled(2);
             };
             let unknown = report.interrupted.is_some();
@@ -325,11 +318,8 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                 }
             }
             if unknown {
-                if let (Some(path), Some(c)) = (&flags.checkpoint, &report.checkpoint) {
-                    write_checkpoint(path, &c.to_text())?;
-                    out.push_str(&format!(
-                        "checkpoint written to {path}; continue with --resume {path}\n"
-                    ));
+                if let Some(line) = save_checkpoint(&flags, &local)? {
+                    out.push_str(&line);
                 }
                 if let Some(dir) = &flags.repo {
                     out.push_str(&format!(
@@ -440,7 +430,7 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
             }
             if unknown {
                 if let (Some(path), Some(c)) = (&flags.checkpoint, &outcome.checkpoint) {
-                    write_checkpoint(path, &c.to_text())?;
+                    write_checkpoint(path, c.to_text().as_bytes())?;
                     out.push_str(&format!(
                         "checkpoint written to {path}; continue with --resume {path}\n"
                     ));
@@ -558,36 +548,23 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
             let s: Result<Vec<Category>, String> =
                 sources.iter().map(|n| category(&ds, n)).collect();
             let s = s?;
-            let resume = match &flags.resume {
-                // `is_summarizable_in_schema_run` refuses a cursor taken for
-                // another query.
-                Some(path) => Some(
-                    load_battery_checkpoint(&ds, &read_file(path)?)
-                        .map_err(|e| format!("--resume {path}: {e}"))?,
-                ),
-                None => None,
-            };
+            let local = resume_cache(&ds, &flags)?;
+            let cache = item_cache(&repo, &local);
+            // Every attempt is the same run, through one item cache.
+            let mut attempt_budget = budget;
             let mut attempts = 0u32;
-            // Every attempt is the same run, resuming the previous one.
-            let found = summarizable_verdict(&ds, t, &s, repo.as_ref(), resume, |mut cp| {
-                let mut attempt_budget = budget;
-                loop {
-                    attempts += 1;
-                    let mut gov = make_governor(attempt_budget, &obs, &flags.fault);
-                    let run = Run::new(&mut gov).jobs(jobs).planned(plan).resume(cp.as_ref());
-                    let out =
-                        is_summarizable_in_schema_run(&ds, t, &s, DimsatOptions::default(), run)
-                            .map_err(|e| format!("resume: {e}"))?;
-                    if !out.is_unknown() || out.checkpoint.is_none() || attempts > flags.retry {
-                        return Ok(out);
-                    }
-                    cp = out.checkpoint;
-                    attempt_budget = attempt_budget.scaled(2);
+            let out = loop {
+                attempts += 1;
+                let mut gov = make_governor(attempt_budget, &obs, &flags.fault);
+                let run = Run {
+                    cache,
+                    ..Run::new(&mut gov).jobs(jobs).planned(plan)
+                };
+                let out = is_summarizable_in_schema_run(&ds, t, &s, DimsatOptions::default(), run);
+                if !out.is_unknown() || attempts > flags.retry {
+                    break out;
                 }
-            })?;
-            let out = match found {
-                Summarized::Stored(hit) => return Ok(RunOutput::answered(hit.payload.clone())),
-                Summarized::Solved(out) => *out,
+                attempt_budget = attempt_budget.scaled(2);
             };
             let (answer, unknown) = match &out.verdict {
                 SummarizabilityVerdict::Summarizable => ("true".to_string(), false),
@@ -597,29 +574,22 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                     None => (format!("unknown ({i})"), true),
                 },
             };
-            let cx_line = out
-                .counterexample
-                .as_ref()
-                .map(|cx| format!("countermodel: {}\n", cx.display(&ds)));
             let mut text = format!("summarizable: {answer}\n");
             if attempts > 1 {
                 text.push_str(&format!("({attempts} attempts, budget doubled per retry)\n"));
             }
             if unknown {
-                if let (Some(path), Some(c)) = (&flags.checkpoint, &out.checkpoint) {
-                    write_checkpoint(path, &c.to_text())?;
-                    text.push_str(&format!(
-                        "checkpoint written to {path}; continue with --resume {path}\n"
-                    ));
+                if let Some(line) = save_checkpoint(&flags, &local)? {
+                    text.push_str(&line);
                 }
-                if let (Some(dir), Some(_)) = (&flags.repo, &out.checkpoint) {
+                if let Some(dir) = &flags.repo {
                     text.push_str(&format!(
                         "pending cursor persisted; rerun with --repo {dir} to continue\n"
                     ));
                 }
             }
-            if let Some(l) = cx_line {
-                text.push_str(&l);
+            if let Some(cx) = out.countermodel_text(&ds) {
+                text.push_str(&format!("countermodel: {cx}\n"));
             }
             Ok(RunOutput { text, unknown })
         }
@@ -879,34 +849,26 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                         // Schema-level verdicts, shared with
                         // `odc summarizable` and solved as it solves them.
                         Some(r) => {
-                            let found = summarizable_verdict(ds, to, &[from], Some(r), None, |cp| {
-                                let mut gov = make_governor(budget, &obs, &None);
-                                let run = Run::new(&mut gov).planned(true).resume(cp.as_ref());
-                                is_summarizable_in_schema_run(
-                                    ds,
-                                    to,
-                                    &[from],
-                                    DimsatOptions::default(),
-                                    run,
-                                )
-                                .map_err(|e| format!("cube: {e}"))
-                            })?;
-                            let (ok, fb) = match found {
-                                Summarized::Stored(hit) => {
-                                    (hit.value != "false", vrepo::failing_bottom(g, &hit))
+                            let mut gov = make_governor(budget, &obs, &None);
+                            let run = Run::new(&mut gov).planned(true).cache(r);
+                            let out = is_summarizable_in_schema_run(
+                                ds,
+                                to,
+                                &[from],
+                                DimsatOptions::default(),
+                                run,
+                            );
+                            let (ok, fb) = match &out.verdict {
+                                SummarizabilityVerdict::Summarizable => (true, None),
+                                SummarizabilityVerdict::NotSummarizable => {
+                                    (false, out.failing_bottom)
                                 }
-                                Summarized::Solved(out) => match &out.verdict {
-                                    SummarizabilityVerdict::Summarizable => (true, None),
-                                    SummarizabilityVerdict::NotSummarizable => {
-                                        (false, out.failing_bottom)
-                                    }
-                                    SummarizabilityVerdict::Unknown(i) => {
-                                        return Err(format!(
-                                            "cube: dim {k} verdict unknown ({i}); raise \
-                                             --time-limit/--node-limit"
-                                        ))
-                                    }
-                                },
+                                SummarizabilityVerdict::Unknown(i) => {
+                                    return Err(format!(
+                                        "cube: dim {k} verdict unknown ({i}); raise \
+                                         --time-limit/--node-limit"
+                                    ))
+                                }
                             };
                             (ok, fb.map(|c| g.name(c).to_string()))
                         }
@@ -1630,76 +1592,54 @@ fn read_file(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Checkpoint cursors are written atomically (temp file + rename +
-/// fsync): a crash mid-write leaves the previous cursor intact instead
-/// of a truncated envelope that `--resume` would refuse.
-fn write_checkpoint(path: &str, text: &str) -> Result<(), String> {
-    vrepo::atomic_write(Path::new(path), text.as_bytes(), None)
+/// Checkpoint files are written atomically (temp file + rename +
+/// fsync): a crash mid-write leaves the previous file intact instead of
+/// a truncated one that `--resume` would refuse.
+fn write_checkpoint(path: &str, bytes: &[u8]) -> Result<(), String> {
+    vrepo::atomic_write(Path::new(path), bytes, None)
         .map_err(|e| format!("--checkpoint {path}: {e}"))
 }
 
-/// What `odc summarizable` answers: read back from the repository, or
-/// solved.
-enum Summarized {
-    /// The stored record; its payload is what the solving run printed.
-    Stored(Arc<vrepo::StoredVerdict>),
-    Solved(Box<SummarizabilityOutcome>),
+/// The run-local item cache of `check`/`summarizable`: loaded from the
+/// `--resume` file, or empty for `--checkpoint`/`--retry`; `None` when
+/// the run asks for none of them or keeps its items in `--repo`.
+fn resume_cache(ds: &DimensionSchema, flags: &Flags) -> Result<Option<vrepo::ResumeCache>, String> {
+    if let Some(path) = &flags.resume {
+        let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+        return vrepo::ResumeCache::load(ds, &bytes)
+            .map(Some)
+            .map_err(|e| format!("--resume {path}: {e}"));
+    }
+    let wanted = flags.repo.is_none() && (flags.checkpoint.is_some() || flags.retry > 0);
+    Ok(wanted.then(|| vrepo::ResumeCache::new(ds)))
 }
 
-/// The verdict of `t` from `s`, through `repo` when there is one (`odc
-/// summarizable` and `odc cube` share the records). A stored verdict is
-/// read back. Otherwise `solve` runs the battery from `resume` or the
-/// repository's pending cursor, and the outcome is stored: a decided one
-/// with the lines `odc summarizable` prints, an interrupted one as the
-/// pending cursor.
-fn summarizable_verdict(
-    ds: &DimensionSchema,
-    t: Category,
-    s: &[Category],
-    repo: Option<&VerdictRepo>,
-    resume: Option<BatteryCheckpoint>,
-    solve: impl FnOnce(Option<BatteryCheckpoint>) -> Result<SummarizabilityOutcome, String>,
-) -> Result<Summarized, String> {
-    let g = ds.hierarchy();
-    let sources: Vec<&str> = s.iter().map(|&c| g.name(c)).collect();
-    let query = format!("{}<-{}", g.name(t), sources.join("+"));
-    let key = vrepo::sub_key(ds, "cli-summarizable", &query);
-    if let Some(hit) = repo.and_then(|r| r.get(&key)) {
-        return Ok(Summarized::Stored(hit));
+/// The item cache a run asks and tells: the repository, else the
+/// run-local cache.
+fn item_cache<'a>(
+    repo: &'a Option<VerdictRepo>,
+    local: &'a Option<vrepo::ResumeCache>,
+) -> Option<&'a dyn ItemCache> {
+    match (repo, local) {
+        (Some(r), _) => Some(r),
+        (None, Some(l)) => Some(l),
+        (None, None) => None,
     }
-    let resume = resume.or_else(|| {
-        let text = repo?.pending(&key)?;
-        load_battery_checkpoint(ds, &text).ok()
-    });
-    let out = solve(resume)?;
-    let Some(r) = repo else {
-        return Ok(Summarized::Solved(Box::new(out)));
+}
+
+/// Saves an undecided run's item cache to `--checkpoint`, returning the
+/// line that says so.
+fn save_checkpoint(
+    flags: &Flags,
+    local: &Option<vrepo::ResumeCache>,
+) -> Result<Option<String>, String> {
+    let (Some(path), Some(cache)) = (&flags.checkpoint, local) else {
+        return Ok(None);
     };
-    let holds = match out.verdict {
-        SummarizabilityVerdict::Summarizable => true,
-        SummarizabilityVerdict::NotSummarizable => false,
-        SummarizabilityVerdict::Unknown(_) => {
-            if let Some(c) = &out.checkpoint {
-                let _ = r.put_pending(key, c.to_text());
-            }
-            return Ok(Summarized::Solved(Box::new(out)));
-        }
-    };
-    // A negative verdict is witnessed by one failing bottom; a positive
-    // one depended on the whole battery, so its footprint carries the
-    // structure sentinel.
-    let fb = if holds { None } else { out.failing_bottom };
-    let mut payload = format!("summarizable: {holds}\n");
-    if let Some(cx) = &out.counterexample {
-        payload.push_str(&format!("countermodel: {}\n", cx.display(ds)));
-    }
-    let stored = vrepo::StoredVerdict {
-        value: holds.to_string(),
-        payload,
-        footprint: vrepo::summarizable_footprint(g, t, fb).into_iter().collect(),
-    };
-    let _ = r.put(key, stored);
-    Ok(Summarized::Solved(Box::new(out)))
+    write_checkpoint(path, &cache.to_bytes())?;
+    Ok(Some(format!(
+        "checkpoint written to {path}; continue with --resume {path}\n"
+    )))
 }
 
 /// Opens the verdict repository named by `--repo`, threading the run's

@@ -8,6 +8,8 @@
 //! See `README.md` for the tour, `DESIGN.md` for the system inventory,
 //! and `EXPERIMENTS.md` for the paper-versus-measured record.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub use odc_core::*;
 
 /// Re-export of the workload crate (schema catalog and generators), used

@@ -8,23 +8,23 @@
 //!   and that run matches a naive per-item reference written here
 //!   against the solver primitives (so a fault shared by every mode —
 //!   the runner, the merge — still shows);
-//! - a run interrupted at seeded node limits reports a partial result
-//!   whenever its governor tripped, and resuming its checkpoint (through
-//!   the text form), serially and in parallel, merges to the clean
-//!   verdicts;
-//! - an unplanned serial run resumed serially carries exactly the clean
-//!   run's counters (wall time excepted).
+//! - a run interrupted at seeded node limits through an item cache
+//!   reports a partial result whenever its governor tripped, and a run
+//!   against that cache (through its checkpoint file), serially and in
+//!   parallel, finishes with the clean verdicts;
+//! - an unplanned serial sweep and its serial resume together carry
+//!   exactly the clean sweep's counters (wall time excepted): decided
+//!   categories answer from the cache, the cut one resumes its cursor.
 
 use odc_rand::rngs::StdRng;
 use odc_rand::{Rng, SeedableRng};
-use olap_dimension_constraints::dimsat::{CategorySweep, SearchStats};
+use olap_dimension_constraints::dimsat::{AuditItem, CategorySweep, ItemAnswer, ItemCache, SearchStats};
 use olap_dimension_constraints::prelude::*;
+use olap_dimension_constraints::repo::ResumeCache;
 use olap_dimension_constraints::summarizability::advisor::{self, rewrite_pairs, SchemaReport};
-use olap_dimension_constraints::summarizability::checkpoint::{
-    load_audit_checkpoint, load_battery_checkpoint,
-};
 use olap_dimension_constraints::summarizability::SummarizabilityOutcome;
 use olap_dimension_constraints::workload::{catalog, random_schema, SchemaGenParams};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The four runs of the matrix: (planned, jobs).
 const RUNS: [(bool, usize); 4] = [(false, 1), (false, 3), (true, 1), (true, 3)];
@@ -110,6 +110,11 @@ fn limited(limit: u64) -> Governor {
     )
 }
 
+/// A cut run's checkpoint file, loaded back as the cache to resume with.
+fn reload(ds: &DimensionSchema, cache: &ResumeCache) -> ResumeCache {
+    ResumeCache::load(ds, &cache.to_bytes()).expect("roundtrip")
+}
+
 /// Every counter except wall time.
 fn counters(s: &SearchStats) -> [u64; 10] {
     [
@@ -132,12 +137,13 @@ fn sweep(
     solver: &Dimsat<'_>,
     gov: &mut Governor,
     (plan, jobs): (bool, usize),
-    resume: Option<&olap_dimension_constraints::dimsat::SweepCheckpoint>,
+    cache: Option<&ResumeCache>,
 ) -> CategorySweep {
-    let run = Run::new(gov).jobs(jobs).planned(plan).resume(resume);
-    solver
-        .unsatisfiable_categories_run(run)
-        .expect("same schema resumes")
+    let run = Run {
+        cache: cache.map(|k| k as _),
+        ..Run::new(gov).jobs(jobs).planned(plan)
+    };
+    solver.unsatisfiable_categories_run(run)
 }
 
 fn render_sweep(ds: &DimensionSchema, s: &CategorySweep) -> String {
@@ -190,23 +196,22 @@ fn sweep_matrix() {
             for _ in 0..CUTS {
                 let limit = cut(&mut rng, nodes);
                 let mut gov = limited(limit);
-                let partial = sweep(&solver, &mut gov, run, None);
+                let cache = ResumeCache::new(&ds);
+                let partial = sweep(&solver, &mut gov, run, Some(&cache));
                 let ctx = format!("{ctx} limit {limit}");
                 assert_eq!(
                     gov.interrupt().is_some(),
                     partial.interrupted.is_some(),
                     "{ctx}"
                 );
-                let Some(cp) = solver.sweep_checkpoint(&partial) else {
+                if partial.interrupted.is_none() {
                     assert_eq!(render_sweep(&ds, &partial), want, "{ctx}");
                     continue;
-                };
-                let cp = solver
-                    .load_sweep_checkpoint(&cp.to_text())
-                    .expect("roundtrip");
+                }
                 for resume_jobs in [1, 3] {
                     let mut gov = Governor::unlimited();
-                    let merged = sweep(&solver, &mut gov, (run.0, resume_jobs), Some(&cp));
+                    let cache = reload(&ds, &cache);
+                    let merged = sweep(&solver, &mut gov, (run.0, resume_jobs), Some(&cache));
                     assert_eq!(
                         render_sweep(&ds, &merged),
                         want,
@@ -214,7 +219,9 @@ fn sweep_matrix() {
                     );
                     resumed += 1;
                     if run == (false, 1) && resume_jobs == 1 {
-                        assert_eq!(counters(&merged.stats), counters(&clean.stats), "{ctx}");
+                        let mut both = partial.stats.clone();
+                        both.absorb(&merged.stats);
+                        assert_eq!(counters(&both), counters(&clean.stats), "{ctx}");
                     }
                 }
             }
@@ -231,11 +238,13 @@ fn battery(
     (c, s): (Category, &[Category]),
     gov: &mut Governor,
     (plan, jobs): (bool, usize),
-    resume: Option<&olap_dimension_constraints::summarizability::BatteryCheckpoint>,
+    cache: Option<&ResumeCache>,
 ) -> SummarizabilityOutcome {
-    let run = Run::new(gov).jobs(jobs).planned(plan).resume(resume);
+    let run = Run {
+        cache: cache.map(|k| k as _),
+        ..Run::new(gov).jobs(jobs).planned(plan)
+    };
     is_summarizable_in_schema_run(ds, c, s, DimsatOptions::default(), run)
-        .expect("same query resumes")
 }
 
 /// The bottoms whose Theorem-1 constraint fails, one implication at a
@@ -294,25 +303,25 @@ fn theorem1_matrix() {
                 for _ in 0..CUTS {
                     let limit = cut(&mut rng, nodes);
                     let mut gov = limited(limit);
-                    let partial = battery(&ds, q, &mut gov, run, None);
+                    let cache = ResumeCache::new(&ds);
+                    let partial = battery(&ds, q, &mut gov, run, Some(&cache));
                     let ctx = format!("{ctx} limit {limit}");
                     if !partial.is_unknown() {
                         check_verdict(&ds, &partial, &failing, &ctx);
                         continue;
                     }
                     assert!(gov.interrupt().is_some(), "{ctx}");
-                    let cp = partial
-                        .checkpoint
-                        .expect("an undecided battery checkpoints");
-                    mid += usize::from(cp.next > 0);
-                    let cp = load_battery_checkpoint(&ds, &cp.to_text()).expect("roundtrip");
+                    // The pending record lists the bottoms already proved.
+                    let item = AuditItem::Query(*c, s.clone());
+                    mid += usize::from(cache.pending(&ds, &item).is_some());
                     for resume_jobs in [1, 3] {
+                        let cache = reload(&ds, &cache);
                         let merged = battery(
                             &ds,
                             q,
                             &mut Governor::unlimited(),
                             (run.0, resume_jobs),
-                            Some(&cp),
+                            Some(&cache),
                         );
                         let ctx = format!("{ctx} resumed x{resume_jobs}");
                         assert_eq!(merged.verdict, clean.verdict, "{ctx}");
@@ -320,7 +329,6 @@ fn theorem1_matrix() {
                         resumed += 1;
                         if run == (false, 1) && resume_jobs == 1 {
                             assert_eq!(merged.failing_bottom, clean.failing_bottom, "{ctx}");
-                            assert_eq!(counters(&merged.stats), counters(&clean.stats), "{ctx}");
                         }
                     }
                 }
@@ -341,10 +349,45 @@ fn audit(
     ds: &DimensionSchema,
     gov: &mut Governor,
     (plan, jobs): (bool, usize),
-    resume: Option<&olap_dimension_constraints::summarizability::AuditCheckpoint>,
+    cache: Option<&dyn ItemCache>,
 ) -> SchemaReport {
-    let run = Run::new(gov).jobs(jobs).planned(plan).resume(resume);
-    advisor::audit_run(ds, run).expect("same schema resumes")
+    let run = Run {
+        cache,
+        ..Run::new(gov).jobs(jobs).planned(plan)
+    };
+    advisor::audit_run(ds, run)
+}
+
+/// The audit stages in the order they run.
+const STAGES: [&str; 4] = ["sweep", "redundancy", "census", "rewrites"];
+
+/// An item cache that notes the latest audit stage it was asked about:
+/// stages run in order, so after an interrupt it is the stage cut.
+struct StageProbe<'a> {
+    inner: &'a ResumeCache,
+    stage: AtomicUsize,
+}
+
+impl ItemCache for StageProbe<'_> {
+    fn get(&self, ds: &DimensionSchema, item: &AuditItem) -> Option<ItemAnswer> {
+        let stage = match item {
+            AuditItem::Sat(_) => 0,
+            AuditItem::Redundant(_) => 1,
+            AuditItem::Census(_) => 2,
+            AuditItem::Rewrite(..) | AuditItem::Query(..) => 3,
+        };
+        self.stage.fetch_max(stage, Ordering::Relaxed);
+        self.inner.get(ds, item)
+    }
+    fn put(&self, ds: &DimensionSchema, item: &AuditItem, answer: ItemAnswer) {
+        self.inner.put(ds, item, answer);
+    }
+    fn pending(&self, ds: &DimensionSchema, item: &AuditItem) -> Option<String> {
+        self.inner.pending(ds, item)
+    }
+    fn put_pending(&self, ds: &DimensionSchema, item: &AuditItem, cursor: String) {
+        self.inner.put_pending(ds, item, cursor);
+    }
 }
 
 /// The audit one query at a time, straight from the solver primitives.
@@ -395,27 +438,30 @@ fn audit_matrix() {
             for _ in 0..CUTS {
                 let limit = cut(&mut rng, nodes);
                 let mut gov = limited(limit);
-                let partial = audit(&ds, &mut gov, run, None);
+                let cache = ResumeCache::new(&ds);
+                let probe = StageProbe {
+                    inner: &cache,
+                    stage: AtomicUsize::new(0),
+                };
+                let partial = audit(&ds, &mut gov, run, Some(&probe));
                 let ctx = format!("{ctx} limit {limit}");
                 assert_eq!(
                     gov.interrupt().is_some(),
                     partial.interrupted.is_some(),
                     "{ctx}"
                 );
-                let Some(cp) = &partial.checkpoint else {
+                if partial.interrupted.is_none() {
                     assert_eq!(partial.render(&ds), want, "{ctx}");
                     continue;
-                };
-                let cp = load_audit_checkpoint(&ds, &cp.to_text()).expect("roundtrip");
-                *stages.entry(format!("{:?}", cp.stage)).or_insert(0) += 1;
+                }
+                let stage = STAGES[probe.stage.load(Ordering::Relaxed)];
+                *stages.entry(stage).or_insert(0) += 1;
                 for resume_jobs in [1, 3] {
                     let mut gov = Governor::unlimited();
-                    let merged = audit(&ds, &mut gov, (run.0, resume_jobs), Some(&cp));
-                    let ctx = format!("{ctx} resumed x{resume_jobs} at {:?}", cp.stage);
+                    let cache = reload(&ds, &cache);
+                    let merged = audit(&ds, &mut gov, (run.0, resume_jobs), Some(&cache));
+                    let ctx = format!("{ctx} resumed x{resume_jobs} at {stage}");
                     assert_eq!(merged.render(&ds), want, "{ctx}");
-                    if run == (false, 1) && resume_jobs == 1 {
-                        assert_eq!(counters(&merged.stats), counters(&clean.stats), "{ctx}");
-                    }
                 }
             }
         }

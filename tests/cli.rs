@@ -315,6 +315,34 @@ fn checkpoint_file_survives_a_crashed_rewrite() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--resume` of a sweep, battery or audit envelope from before the
+/// item-cache checkpoints is refused with exit 1, naming the format.
+#[test]
+fn resume_refuses_the_envelopes_of_earlier_releases() {
+    let dir = std::env::temp_dir().join(format!("odc-cli-retired-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let schema = schema_file();
+    for kind in ["advisor-audit", "theorem1-battery"] {
+        let path = dir.join(format!("{kind}.ckpt"));
+        let envelope = format!("odc-checkpoint v1\nkind {kind}\nfingerprint 7\nnext 0\nend\n");
+        std::fs::write(&path, envelope).unwrap();
+        let path = path.to_string_lossy().into_owned();
+        for args in [
+            vec!["check", &schema, "--resume", &path],
+            vec!["summarizable", &schema, "Country", "City", "--resume", &path],
+        ] {
+            let out = odc(&args);
+            assert_eq!(out.status.code(), Some(1), "{args:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("odc-checkpoint v1"), "{args:?}: {err}");
+            assert!(err.contains(kind), "{args:?}: {err}");
+            assert!(err.contains("rerun without --resume"), "{args:?}: {err}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn repo_warm_and_cold_runs_are_byte_identical() {
     let dir = std::env::temp_dir().join(format!("odc-cli-repo-{}", std::process::id()));

@@ -250,8 +250,7 @@ fn planned_audit_matches_unplanned_on_seeded_families() {
         );
         for jobs in [2usize, 4] {
             let mut gov = Governor::unlimited();
-            let par = advisor::audit_run(&ds, Run::new(&mut gov).jobs(jobs).planned(true))
-                .expect("nothing to resume");
+            let par = advisor::audit_run(&ds, Run::new(&mut gov).jobs(jobs).planned(true));
             assert_eq!(
                 par.render(&ds),
                 unplanned.render(&ds),
@@ -289,8 +288,7 @@ fn planned_verdicts_match_unplanned_on_sat_adversarial_schemas() {
             let mut gov = Governor::unlimited();
             let facts = SharedFacts::new(g.num_categories());
             let planned = solver
-                .unsatisfiable_categories_run(Run::new(&mut gov).planned(true).facts(&facts))
-                .expect("nothing to resume");
+                .unsatisfiable_categories_run(Run::new(&mut gov).planned(true).facts(&facts));
             assert!(planned.is_complete(), "n={n_vars} ratio={ratio}");
             assert_eq!(planned.unsat, full.unsat, "n={n_vars} ratio={ratio}");
             assert_eq!(planned.sat, full.sat, "n={n_vars} ratio={ratio}");
@@ -302,7 +300,6 @@ fn planned_verdicts_match_unplanned_on_sat_adversarial_schemas() {
                     let run = Run::new(&mut gov).planned(plan);
                     let opts = DimsatOptions::default();
                     is_summarizable_in_schema_run(&ds, coarse, &[fine], opts, run)
-                        .expect("nothing to resume")
                 };
                 let serial = battery(false);
                 let planned = battery(true);

@@ -2,15 +2,19 @@
 //! governed searches at reproducible points, the interrupted run leaves a
 //! checkpoint, and resuming the checkpoint reproduces the uninterrupted
 //! run exactly — same enumeration, same verdicts, same counters (elapsed
-//! wall time excepted) — on both the trail and the clone kernel, at every
-//! driver level (solve, sweep, Theorem-1 battery, advisor audit). Plus
-//! the two non-interrupt fault kinds: cancellation propagation and typed
+//! wall time excepted) — on both the trail and the clone kernel. One
+//! driver level up (sweep, Theorem-1 battery, advisor audit) the
+//! checkpoint is the run's item cache: the resumed run reaches the clean
+//! verdicts and re-solves nothing the interrupted run decided. Plus the
+//! two non-interrupt fault kinds: cancellation propagation and typed
 //! worker panics.
 
 use odc_rand::rngs::StdRng;
 use odc_rand::{Rng, SeedableRng};
 use olap_dimension_constraints::govern::{FaultKind, FaultPlan, FaultTrigger, InjectedPanic};
+use olap_dimension_constraints::dimsat::SearchStats;
 use olap_dimension_constraints::prelude::*;
+use olap_dimension_constraints::repo::ResumeCache;
 use olap_dimension_constraints::summarizability::advisor;
 use olap_dimension_constraints::summarizability::{
     is_summarizable_in_schema, is_summarizable_in_schema_run,
@@ -45,6 +49,22 @@ fn assert_stats_match(a: &odc_core::dimsat::SearchStats, b: &odc_core::dimsat::S
     );
     assert_eq!(a.frozen_found, b.frozen_found, "frozen_found {ctx}");
     assert_eq!(a.struct_clones, b.struct_clones, "struct_clones {ctx}");
+}
+
+/// A resumed run's counters stay within the clean run's (elapsed wall
+/// time excepted): items the interrupted run decided cost it nothing.
+fn assert_no_more_work(resumed: &SearchStats, clean: &SearchStats, ctx: &str) {
+    let pairs = [
+        (resumed.expand_calls, clean.expand_calls),
+        (resumed.check_calls, clean.check_calls),
+        (resumed.dead_ends, clean.dead_ends),
+        (resumed.assignments_tested, clean.assignments_tested),
+        (resumed.frozen_found, clean.frozen_found),
+        (resumed.struct_clones, clean.struct_clones),
+    ];
+    for (i, (r, c)) in pairs.into_iter().enumerate() {
+        assert!(r <= c, "counter {i}: resumed {r} > clean {c} ({ctx})");
+    }
 }
 
 fn seeded_schemas(count: usize) -> Vec<DimensionSchema> {
@@ -133,8 +153,9 @@ fn seeded_interrupts_resume_to_identical_enumeration() {
     );
 }
 
-/// Same matrix one driver up: an interrupted category sweep resumes to
-/// the complete sweep, with verdicts and merged counters identical.
+/// Same matrix one driver up: an interrupted category sweep resumes
+/// through its item cache to the complete sweep, and the two runs
+/// together carry exactly the clean sweep's counters.
 #[test]
 fn seeded_interrupts_resume_sweeps_identically() {
     let ds = location_schema();
@@ -152,34 +173,29 @@ fn seeded_interrupts_resume_sweeps_identically() {
         )
         .with_max_injections(1);
         let mut gov = solver.governor().with_fault_plan(plan);
-        let sweep = solver
-            .unsatisfiable_categories_run(Run::new(&mut gov))
-            .expect("nothing to resume");
+        let cache = ResumeCache::new(&ds);
+        let sweep = solver.unsatisfiable_categories_run(Run::new(&mut gov).cache(&cache));
         if sweep.interrupted.is_none() {
             continue;
         }
-        let Some(cp) = solver.sweep_checkpoint(&sweep) else {
-            continue;
-        };
-        let cp = solver
-            .load_sweep_checkpoint(&cp.to_text())
-            .expect("roundtrip");
+        // Through the file form, like a process restart would.
+        let cache = ResumeCache::load(&ds, &cache.to_bytes()).expect("roundtrip");
         let mut gov = solver.governor();
-        let resumed = solver
-            .unsatisfiable_categories_run(Run::new(&mut gov).resume(Some(&cp)))
-            .expect("same schema resumes");
+        let resumed = solver.unsatisfiable_categories_run(Run::new(&mut gov).cache(&cache));
         assert!(resumed.is_complete(), "seed {seed}");
         assert_eq!(resumed.unsat, clean.unsat, "seed {seed}");
         assert_eq!(resumed.sat, clean.sat, "seed {seed}");
-        assert_stats_match(&resumed.stats, &clean.stats, &format!("seed {seed}"));
+        let mut both = sweep.stats.clone();
+        both.absorb(&resumed.stats);
+        assert_stats_match(&both, &clean.stats, &format!("seed {seed}"));
         resumed_runs += 1;
     }
     assert!(resumed_runs >= 3, "sweep matrix too sparse ({resumed_runs})");
 }
 
-/// Theorem-1 battery: a fault mid-battery leaves an item-granular
-/// checkpoint; resuming reaches the clean verdict with merged counters
-/// equal to the uninterrupted battery.
+/// Theorem-1 battery: a fault mid-battery leaves the bottoms it proved
+/// implied in its item cache; resuming reaches the clean verdict without
+/// re-solving them.
 #[test]
 fn seeded_interrupts_resume_batteries_identically() {
     let ds = location_schema();
@@ -199,18 +215,17 @@ fn seeded_interrupts_resume_batteries_identically() {
         .with_max_injections(1);
         let mut gov = Governor::unlimited().with_fault_plan(plan);
         let opts = DimsatOptions::default();
-        let partial = is_summarizable_in_schema_run(&ds, target, &sources, opts, Run::new(&mut gov))
-            .expect("nothing to resume");
+        let cache = ResumeCache::new(&ds);
+        let run = Run::new(&mut gov).cache(&cache);
+        let partial = is_summarizable_in_schema_run(&ds, target, &sources, opts, run);
         if !partial.is_unknown() {
             continue;
         }
-        let cp = partial.checkpoint.expect("battery fault leaves checkpoint");
         let mut gov = Governor::unlimited();
-        let run = Run::new(&mut gov).resume(Some(&cp));
-        let resumed = is_summarizable_in_schema_run(&ds, target, &sources, opts, run)
-            .expect("same schema resumes");
+        let run = Run::new(&mut gov).cache(&cache);
+        let resumed = is_summarizable_in_schema_run(&ds, target, &sources, opts, run);
         assert_eq!(resumed.verdict, clean.verdict, "seed {seed}");
-        assert_stats_match(&resumed.stats, &clean.stats, &format!("seed {seed}"));
+        assert_no_more_work(&resumed.stats, &clean.stats, &format!("seed {seed}"));
         resumed_runs += 1;
     }
     assert!(
@@ -236,14 +251,13 @@ fn seeded_interrupts_resume_audits_identically() {
         )
         .with_max_injections(1);
         let mut gov = Governor::unlimited().with_fault_plan(plan);
-        let partial = advisor::audit_run(&ds, Run::new(&mut gov)).expect("nothing to resume");
-        let Some(cp) = partial.checkpoint else {
-            assert!(partial.interrupted.is_none());
+        let cache = ResumeCache::new(&ds);
+        let partial = advisor::audit_run(&ds, Run::new(&mut gov).cache(&cache));
+        if partial.interrupted.is_none() {
             continue;
-        };
+        }
         let mut gov = Governor::unlimited();
-        let resumed = advisor::audit_run(&ds, Run::new(&mut gov).resume(Some(&cp)))
-            .expect("same schema resumes");
+        let resumed = advisor::audit_run(&ds, Run::new(&mut gov).cache(&cache));
         assert!(resumed.interrupted.is_none(), "seed {seed}");
         assert_eq!(resumed.unsatisfiable, clean.unsatisfiable, "seed {seed}");
         assert_eq!(
@@ -252,7 +266,7 @@ fn seeded_interrupts_resume_audits_identically() {
         );
         assert_eq!(resumed.structure_census, clean.structure_census, "seed {seed}");
         assert_eq!(resumed.safe_rewrites, clean.safe_rewrites, "seed {seed}");
-        assert_stats_match(&resumed.stats, &clean.stats, &format!("seed {seed}"));
+        assert_no_more_work(&resumed.stats, &clean.stats, &format!("seed {seed}"));
         resumed_runs += 1;
     }
     assert!(resumed_runs >= 3, "audit matrix too sparse ({resumed_runs})");

@@ -27,7 +27,6 @@ fn sweep_jobs(solver: &Dimsat<'_>, jobs: usize) -> odc_core::dimsat::CategorySwe
     let mut gov = solver.governor();
     solver
         .unsatisfiable_categories_run(Run::new(&mut gov).jobs(jobs))
-        .expect("nothing to resume")
 }
 
 /// The counters carried on the `solve_end` event are the same numbers
@@ -201,8 +200,7 @@ fn repo_warm_probe_is_silent_and_side_effect_free() {
     let repo = VerdictRepo::open(&dir, Obs::none(), None).expect("open repo");
 
     let mut gov = Governor::unlimited();
-    let cold = advisor::audit_run(&ds, Run::new(&mut gov).jobs(2).planned(true).cache(&repo))
-        .expect("nothing to resume");
+    let cold = advisor::audit_run(&ds, Run::new(&mut gov).jobs(2).planned(true).cache(&repo));
     assert!(cold.interrupted.is_none());
     // A (fake) pending census cursor standing in for a previous
     // interrupted run's warm start.
@@ -214,8 +212,7 @@ fn repo_warm_probe_is_silent_and_side_effect_free() {
         let collector = Arc::new(CollectingObserver::new());
         let mut gov = Governor::unlimited().with_observer(Obs::new(collector.clone()));
         let puts = repo.stats().puts;
-        let warm = advisor::audit_run(&ds, Run::new(&mut gov).jobs(jobs).planned(plan).cache(&repo))
-            .expect("nothing to resume");
+        let warm = advisor::audit_run(&ds, Run::new(&mut gov).jobs(jobs).planned(plan).cache(&repo));
         let ctx = format!("jobs={jobs} plan={plan}");
         assert_eq!(warm.render(&ds), cold.render(&ds), "{ctx}");
         let solves = collector
@@ -245,8 +242,7 @@ fn planned_parallel_audit_emits_paired_solve_events_and_plan_summary() {
     let ds = location_schema();
     let collector = Arc::new(CollectingObserver::new());
     let mut gov = Governor::unlimited().with_observer(Obs::new(collector.clone()));
-    let report = advisor::audit_run(&ds, Run::new(&mut gov).jobs(2).planned(true))
-        .expect("nothing to resume");
+    let report = advisor::audit_run(&ds, Run::new(&mut gov).jobs(2).planned(true));
     assert!(report.interrupted.is_none());
     let events = collector.events();
     let mut starts: Vec<u64> = Vec::new();

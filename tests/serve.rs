@@ -315,6 +315,66 @@ fn drain_interrupts_solves_and_writes_resumable_checkpoints() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `summarizable` or `audit` request cut by its budget on a server
+/// with a checkpoint directory leaves its item cache there, unless it
+/// holds nothing to resume, and the CLI resumes that file to the clean
+/// answer.
+#[test]
+fn cut_batteries_leave_item_cache_checkpoints() {
+    let dir = temp_dir("battery-ckpt");
+    // Three bottoms, so a cut battery can have proved one implied.
+    let wh = "hierarchy:\n  WA > City\n  WB > City\n  WC > City, Region\n  \
+              City > Region, Country\n  Region > Country\n  Country > All\n\
+              constraints:\n  WA_City\n  WB_City\n  WC.City\n";
+    let wh_path = dir.join("wh.odcs");
+    std::fs::write(&wh_path, wh).unwrap();
+    let wh_path = wh_path.to_str().unwrap().to_string();
+    let mut loc_path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    loc_path.push("examples/location.odcs");
+    let loc_path = loc_path.to_str().unwrap().to_string();
+    let run = start(
+        ServeConfig {
+            checkpoint_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        },
+        &[("loc", &location_text()), ("wh", wh)],
+    );
+    let mut c = Client::connect(run.addr).unwrap();
+    // Location has one bottom: a battery cut in it proved nothing, so
+    // it leaves no file.
+    let r = c.request("summarizable loc Country State Province --node-limit 1").unwrap();
+    assert_eq!(r.status_word(), "unknown", "{}", r.status);
+    assert!(!r.payload.contains("checkpoint written"), "{}", r.payload);
+    let cases = [
+        ("summarizable wh Country City", vec!["summarizable", &wh_path, "Country", "City"]),
+        ("audit loc", vec!["check", &loc_path]),
+    ];
+    for (request, cli) in cases {
+        let path = (1..2000)
+            .find_map(|limit| {
+                let r = c.request(&format!("{request} --node-limit {limit}")).unwrap();
+                let line = r.payload.lines().find_map(|l| l.strip_prefix("checkpoint written to "));
+                line.and_then(|l| l.split(';').next()).map(str::to_string)
+            })
+            .unwrap_or_else(|| panic!("{request}: no cut left a checkpoint"));
+        let bytes = std::fs::read(&path).unwrap();
+        assert!(bytes.starts_with(b"odc-item-cache v1"), "{request}");
+        let odc = |extra: &[&str]| {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_odc"))
+                .args(&cli)
+                .args(extra)
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "{cli:?} {extra:?}");
+            out.stdout
+        };
+        assert_eq!(odc(&["--resume", &path]), odc(&[]), "{request}: resumed answer diverged");
+    }
+    c.request("shutdown").unwrap();
+    run.join.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn server_payloads_match_the_serial_cli_byte_for_byte() {
     let mut schema_path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));

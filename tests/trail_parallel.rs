@@ -8,6 +8,7 @@
 use odc_rand::rngs::StdRng;
 use odc_rand::{Rng, SeedableRng};
 use olap_dimension_constraints::prelude::*;
+use olap_dimension_constraints::repo::ResumeCache;
 use olap_dimension_constraints::summarizability::advisor;
 use olap_dimension_constraints::workload::{random_schema, SchemaGenParams};
 
@@ -17,10 +18,13 @@ fn sweep_with(
     gov: &mut Governor,
     jobs: usize,
     plan: bool,
-    resume: Option<&olap_dimension_constraints::dimsat::SweepCheckpoint>,
+    cache: Option<&ResumeCache>,
 ) -> olap_dimension_constraints::dimsat::CategorySweep {
-    let run = Run::new(gov).jobs(jobs).planned(plan).resume(resume);
-    solver.unsatisfiable_categories_run(run).expect("same schema resumes")
+    let run = Run {
+        cache: cache.map(|k| k as _),
+        ..Run::new(gov).jobs(jobs).planned(plan)
+    };
+    solver.unsatisfiable_categories_run(run)
 }
 
 /// The sweep over `jobs` workers on a fresh governor of the solver's.
@@ -180,8 +184,7 @@ fn parallel_battery_matches_serial_on_catalog_queries() {
                     sources,
                     DimsatOptions::default(),
                     Run::new(&mut gov).jobs(jobs),
-                )
-                .expect("nothing to resume");
+                );
                 assert_eq!(
                     par.verdict, serial.verdict,
                     "{}: target {target:?} sources {sources:?} jobs {jobs}",
@@ -270,26 +273,21 @@ fn sweep_undecided_order_is_deterministic_across_drivers() {
         // serial verdicts.
         for limit in [1u64, 5, 20, 80, 300] {
             let budget = Budget::unlimited().with_node_limit(limit);
-            let mut variants: Vec<(String, olap_dimension_constraints::dimsat::CategorySweep)> =
-                vec![(
-                    "serial".into(),
-                    Dimsat::new(&ds).with_budget(budget).unsatisfiable_categories(),
-                )];
-            variants.push((
-                "planned".into(),
-                sweep_with(&solver, &mut Governor::from_budget(budget), 1, true, None),
-            ));
-            for jobs in [2usize, 4] {
-                variants.push((
-                    format!("sharded x{jobs}"),
-                    sweep_with(&solver, &mut Governor::from_budget(budget), jobs, false, None),
-                ));
-                variants.push((
-                    format!("planned x{jobs}"),
-                    sweep_with(&solver, &mut Governor::from_budget(budget), jobs, true, None),
-                ));
+            let mut variants = Vec::new();
+            for (name, jobs, plan) in [
+                ("serial".to_string(), 1, false),
+                ("planned".to_string(), 1, true),
+                ("sharded x2".to_string(), 2, false),
+                ("planned x2".to_string(), 2, true),
+                ("sharded x4".to_string(), 4, false),
+                ("planned x4".to_string(), 4, true),
+            ] {
+                let cache = ResumeCache::new(&ds);
+                let mut gov = Governor::from_budget(budget);
+                let sweep = sweep_with(&solver, &mut gov, jobs, plan, Some(&cache));
+                variants.push((name, sweep, cache));
             }
-            for (name, sweep) in &variants {
+            for (name, sweep, cache) in &variants {
                 let ctx = format!("round {round} limit {limit} {name}");
                 assert_declaration_order(sweep, &ctx);
                 // Partial verdicts are sound.
@@ -304,11 +302,7 @@ fn sweep_undecided_order_is_deterministic_across_drivers() {
                     continue;
                 }
                 // Resume after the interrupt: same final verdicts.
-                let Some(cp) = solver.sweep_checkpoint(sweep) else {
-                    continue;
-                };
-                let cp = solver.load_sweep_checkpoint(&cp.to_text()).expect("roundtrip");
-                let resumed = sweep_with(&solver, &mut solver.governor(), 1, false, Some(&cp));
+                let resumed = sweep_with(&solver, &mut solver.governor(), 1, false, Some(cache));
                 assert!(resumed.is_complete(), "{ctx}");
                 assert_declaration_order(&resumed, &ctx);
                 assert_eq!(resumed.unsat, full.unsat, "{ctx}");
@@ -319,9 +313,9 @@ fn sweep_undecided_order_is_deterministic_across_drivers() {
 }
 
 /// A fault plan armed on the caller's governor reaches every sweep worker;
-/// the interrupted sharded sweep leaves a checkpoint, and resuming it
-/// reproduces the serial sweep's verdicts — the parallel leg of the
-/// fault→checkpoint→resume parity matrix.
+/// the interrupted sharded sweep leaves its item cache, and resuming
+/// through it reproduces the serial sweep's verdicts — the parallel leg
+/// of the fault→checkpoint→resume parity matrix.
 #[test]
 fn faulted_parallel_sweep_resumes_to_serial_verdicts() {
     use olap_dimension_constraints::govern::{FaultKind, FaultPlan, FaultTrigger};
@@ -352,17 +346,13 @@ fn faulted_parallel_sweep_resumes_to_serial_verdicts() {
         )
         .with_max_injections(1);
         let mut gov = Governor::unlimited().with_fault_plan(plan);
-        let sweep = sweep_with(&solver, &mut gov, 4, false, None);
+        let cache = ResumeCache::new(&ds);
+        let sweep = sweep_with(&solver, &mut gov, 4, false, Some(&cache));
         if sweep.interrupted.is_none() {
             continue;
         }
-        let Some(cp) = solver.sweep_checkpoint(&sweep) else {
-            continue;
-        };
-        let cp = solver
-            .load_sweep_checkpoint(&cp.to_text())
-            .expect("roundtrip");
-        let resumed = sweep_with(&solver, &mut solver.governor(), 1, false, Some(&cp));
+        let cache = ResumeCache::load(&ds, &cache.to_bytes()).expect("roundtrip");
+        let resumed = sweep_with(&solver, &mut solver.governor(), 1, false, Some(&cache));
         assert!(resumed.is_complete(), "seed {seed}");
         assert_eq!(resumed.unsat, serial.unsat, "seed {seed}");
         assert_eq!(resumed.sat, serial.sat, "seed {seed}");
@@ -374,9 +364,9 @@ fn faulted_parallel_sweep_resumes_to_serial_verdicts() {
     );
 }
 
-/// Same for the parallel audit: a seeded fault in any stage leaves a
-/// decided-prefix checkpoint that the parallel resume completes to the
-/// serial audit's findings.
+/// Same for the parallel audit: a seeded fault in any stage leaves an
+/// item cache that the parallel resume completes to the serial audit's
+/// findings.
 #[test]
 fn faulted_parallel_audit_resumes_to_serial_report() {
     use olap_dimension_constraints::govern::{FaultKind, FaultPlan, FaultTrigger};
@@ -401,13 +391,14 @@ fn faulted_parallel_audit_resumes_to_serial_report() {
         )
         .with_max_injections(1);
         let mut gov = Governor::unlimited().with_fault_plan(plan);
-        let partial = advisor::audit_run(&ds, Run::new(&mut gov)).expect("nothing to resume");
-        let Some(cp) = partial.checkpoint else {
+        let cache = ResumeCache::new(&ds);
+        let partial = advisor::audit_run(&ds, Run::new(&mut gov).cache(&cache));
+        if partial.interrupted.is_none() {
             continue;
-        };
+        }
+        let cache = ResumeCache::load(&ds, &cache.to_bytes()).expect("roundtrip");
         let mut gov = Governor::unlimited();
-        let resumed = advisor::audit_run(&ds, Run::new(&mut gov).jobs(4).resume(Some(&cp)))
-            .expect("same schema resumes");
+        let resumed = advisor::audit_run(&ds, Run::new(&mut gov).jobs(4).cache(&cache));
         assert!(resumed.interrupted.is_none(), "seed {seed}");
         assert_eq!(resumed.unsatisfiable, serial.unsatisfiable, "seed {seed}");
         assert_eq!(
